@@ -276,10 +276,10 @@ def bench_chaos_overhead(smoke: bool = False) -> Dict[str, object]:
         plain = armed = float("inf")
         for _ in range(repeats):
             started = time.perf_counter()
-            run_partition(workload, configs, "machine", True, None)
+            run_partition(workload, configs, "machine", None)
             plain = min(plain, time.perf_counter() - started)
             started = time.perf_counter()
-            run_partition(workload, configs, "machine", True, None,
+            run_partition(workload, configs, "machine", None,
                           policy)
             armed = min(armed, time.perf_counter() - started)
     finally:
@@ -354,17 +354,17 @@ def bench_trace_overhead(smoke: bool = False) -> Dict[str, object]:
             for name, method in bare_methods.items():
                 setattr(TimingModel, name, method)
             started = time.perf_counter()
-            run_partition(workload, configs, "machine", True, None)
+            run_partition(workload, configs, "machine", None)
             bare_s = min(bare_s, time.perf_counter() - started)
         finally:
             for name, method in originals.items():
                 setattr(TimingModel, name, method)
         started = time.perf_counter()
-        run_partition(workload, configs, "machine", True, None)
+        run_partition(workload, configs, "machine", None)
         off_s = min(off_s, time.perf_counter() - started)
         started = time.perf_counter()
         with tracing_scope(sink):
-            run_partition(workload, configs, "machine", True, None)
+            run_partition(workload, configs, "machine", None)
         armed_s = min(armed_s, time.perf_counter() - started)
     disabled = (off_s - bare_s) / bare_s if bare_s else 0.0
     armed = (armed_s - bare_s) / bare_s if bare_s else 0.0

@@ -36,17 +36,15 @@ Engines live in the :data:`ENGINES` registry; two are built in:
 from __future__ import annotations
 
 import logging
-import os
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..cfg.builder import ProgramCFG, build_cfg, build_cfg_cached
+from ..cfg.builder import ProgramCFG, build_cfg_cached
 from ..core.config import SimulationConfig
 from ..core import manager as _manager_mod
 from ..core.manager import CodeCompressionManager
 from ..faults.runtime import CellTimeoutError, FaultError, cell_guard
-from ..isa.program import Program
 from ..log import kv
 from ..obs.spans import span
 from ..registry import Registry
@@ -57,7 +55,7 @@ from ..workloads.suite import Workload
 _log = logging.getLogger("repro.sweep")
 
 #: Sweep engine registry: each engine runs one workload's grid row
-#: (``engine(workload, graph, configs, fast, max_blocks) -> [SweepRun]``).
+#: (``engine(workload, graph, configs, max_blocks) -> [SweepRun]``).
 #: New engines plug in via ``ENGINES.register`` without touching sweep().
 ENGINES = Registry("engines", item="sweep engine")
 
@@ -127,20 +125,15 @@ class SweepResult:
         return [run for run in self.runs if run.error is not None]
 
 
-#: Default fast-simulation overrides applied to every sweep config.
-_FAST = {"trace_events": False, "record_trace": False}
-
-
-def effective_config(
-    config: SimulationConfig, fast: bool = True
-) -> SimulationConfig:
+def effective_config(config: SimulationConfig) -> SimulationConfig:
     """The config a sweep cell actually reports under.
 
-    ``fast=True`` disables event/trace recording; every engine applies
-    this before running, and cache fingerprints are computed on the
-    result so a cell's identity matches what its runs carry.
+    Event and trace recording are turned off (the counters and footprint
+    timeline are unaffected); every engine applies this before running,
+    and cache fingerprints are computed on the result so a cell's
+    identity matches what its runs carry.
     """
-    return config.replace(**_FAST) if fast else config
+    return config.replace(trace_events=False, record_trace=False)
 
 
 def run_one(
@@ -224,17 +217,16 @@ def run_one_safe(
 def sweep(
     workloads: Sequence[Workload],
     configs: Sequence[SimulationConfig],
-    fast: bool = True,
     max_blocks: Optional[int] = None,
     engine: str = "machine",
 ) -> SweepResult:
     """Run the full (workload x config) grid.
 
-    ``fast=True`` disables event/trace recording (the counters and
-    footprint timeline are unaffected).  CFGs are built once per workload
-    and shared across configs.  ``engine`` names a registered sweep
-    engine — ``"machine"`` interprets every cell, ``"trace"`` is the
-    trace-replay fast path (see the module docstring for the contract).
+    Every cell runs under :func:`effective_config`, with event/trace
+    recording off.  CFGs are built once per workload and shared across
+    configs.  ``engine`` names a registered sweep engine —
+    ``"machine"`` interprets every cell, ``"trace"`` is the trace-replay
+    fast path (see the module docstring for the contract).
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -246,7 +238,7 @@ def sweep(
     for workload in workloads:
         graph = build_cfg_cached(workload.program)
         out.runs.extend(
-            engine_fn(workload, graph, configs, fast, max_blocks)
+            engine_fn(workload, graph, configs, max_blocks)
         )
     return out
 
@@ -256,14 +248,13 @@ def _machine_sweep_workload(
     workload: Workload,
     graph: ProgramCFG,
     configs: Sequence[SimulationConfig],
-    fast: bool,
     max_blocks: Optional[int],
 ) -> List[SweepRun]:
     """One workload's grid row, interpreting every instruction of every
     cell — the gold standard.  A raising cell becomes an error run; the
     rest of the grid still completes."""
     return [
-        run_one_safe(workload, effective_config(config, fast),
+        run_one_safe(workload, effective_config(config),
                      cfg=graph, max_blocks=max_blocks)
         for config in configs
     ]
@@ -329,11 +320,7 @@ def _recorded_trace(
         and result.counters.blocks_executed == len(trace) \
         and len(trace) < cap
     if complete:
-        prepared = PreparedTrace(graph, trace)
-        shards = os.environ.get("REPRO_REPLAY_SHARDS")
-        if shards:
-            prepared.shard_processes = max(1, int(shards))
-        entry = (prepared, validation, None)
+        entry = (PreparedTrace(graph, trace), validation, None)
     else:
         reason = (
             "truncated" if result.trace_truncated
@@ -355,7 +342,6 @@ def _trace_sweep_workload(
     workload: Workload,
     graph: ProgramCFG,
     configs: Sequence[SimulationConfig],
-    fast: bool,
     max_blocks: Optional[int],
 ) -> List[SweepRun]:
     """One workload's grid row under the trace engine.
@@ -377,12 +363,12 @@ def _trace_sweep_workload(
         prepared, validation = None, None
     if prepared is None:
         return [
-            run_one_safe(workload, effective_config(config, fast),
+            run_one_safe(workload, effective_config(config),
                          cfg=graph, max_blocks=max_blocks)
             for config in configs
         ]
     for config in configs:
-        effective = effective_config(config, fast)
+        effective = effective_config(config)
         try:
             with cell_guard(
                 workload.name, effective.strategy_name

@@ -125,37 +125,17 @@ def run_experiment(
     :class:`~repro.faults.RetryPolicy` failing cells run under (the
     CLI's ``--retries``/``--cell-timeout``); None fails fast.
     """
-    effective_jobs = jobs if jobs is not None else spec.jobs
     if executor is None:
-        if jobs is not None and jobs > 1:
-            executor = "parallel"
-        else:
-            executor = spec.executor
-    if store is None:
-        store = spec.store
-    chosen = make_executor(executor, jobs=effective_jobs, store=store,
-                           retry=retry)
-    partitions = [
-        Partition(workload=name, configs=configs)
-        for name, configs in spec.partitions()
-    ]
-    started = time.perf_counter()
-    runs = chosen.run(
-        partitions, engine=spec.engine, fast=spec.fast,
+        executor = "parallel" if jobs and jobs > 1 else spec.executor
+    result = run_grid(
+        spec.workload_names(), spec.configs(), engine=spec.engine,
+        executor=executor,
+        jobs=jobs if jobs is not None else spec.jobs,
         max_blocks=spec.max_blocks,
+        store=spec.store if store is None else store, retry=retry,
     )
-    elapsed = time.perf_counter() - started
-    return ResultSet(
-        runs,
-        meta={
-            "name": spec.name,
-            "engine": spec.engine,
-            "executor": chosen.name,
-            "jobs": chosen.jobs,
-            "timing": {"elapsed_s": elapsed},
-            **_cache_meta(chosen),
-        },
-    )
+    result.meta = {"name": spec.name, **result.meta}
+    return result
 
 
 def run_grid(
@@ -164,7 +144,6 @@ def run_grid(
     engine: str = "machine",
     executor: Union[str, Executor, None] = None,
     jobs: Optional[int] = None,
-    fast: bool = True,
     max_blocks: Optional[int] = None,
     store: Union[str, bool, None] = None,
     retry: Optional[RetryPolicy] = None,
@@ -188,9 +167,7 @@ def run_grid(
         for workload in workloads
     ]
     started = time.perf_counter()
-    runs = chosen.run(
-        partitions, engine=engine, fast=fast, max_blocks=max_blocks
-    )
+    runs = chosen.run(partitions, engine=engine, max_blocks=max_blocks)
     elapsed = time.perf_counter() - started
     return ResultSet(
         runs,

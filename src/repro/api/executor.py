@@ -130,7 +130,6 @@ def run_partition(
     workload: Union[str, Workload],
     configs: Sequence[SimulationConfig],
     engine: str,
-    fast: bool,
     max_blocks: Optional[int],
     retry: Optional[RetryPolicy] = None,
 ) -> List[SweepRun]:
@@ -148,8 +147,7 @@ def run_partition(
         workload=workload.name, cells=len(configs), engine=engine,
     ):
         runs = sweep(
-            [workload], list(configs), fast=fast, max_blocks=max_blocks,
-            engine=engine,
+            [workload], list(configs), max_blocks=max_blocks, engine=engine,
         ).runs
         if retry is not None and retry.attempts > 1 and any(
             run.error is not None for run in runs
@@ -179,7 +177,6 @@ class Executor(abc.ABC):
         self,
         partitions: Sequence[Partition],
         engine: str = "machine",
-        fast: bool = True,
         max_blocks: Optional[int] = None,
     ) -> List[SweepRun]:
         """Execute every partition; returns runs in cell order (the
@@ -204,14 +201,13 @@ class SerialExecutor(Executor):
         self,
         partitions: Sequence[Partition],
         engine: str = "machine",
-        fast: bool = True,
         max_blocks: Optional[int] = None,
     ) -> List[SweepRun]:
         runs: List[SweepRun] = []
         for partition in partitions:
             runs.extend(
                 run_partition(partition.workload, partition.configs,
-                              engine, fast, max_blocks, self.retry)
+                              engine, max_blocks, self.retry)
             )
         return runs
 
@@ -267,17 +263,15 @@ class ParallelExecutor(Executor):
         self,
         partition: Partition,
         engine: str,
-        fast: bool,
         max_blocks: Optional[int],
     ) -> List[SweepRun]:
         return run_partition(partition.workload, partition.configs,
-                             engine, fast, max_blocks, self.retry)
+                             engine, max_blocks, self.retry)
 
     def run(
         self,
         partitions: Sequence[Partition],
         engine: str = "machine",
-        fast: bool = True,
         max_blocks: Optional[int] = None,
     ) -> List[SweepRun]:
         partitions = list(partitions)
@@ -299,8 +293,8 @@ class ParallelExecutor(Executor):
                     futures = {
                         i: pool.submit(
                             run_partition, partitions[i].workload,
-                            partitions[i].configs, engine, fast,
-                            max_blocks, self.retry,
+                            partitions[i].configs, engine, max_blocks,
+                            self.retry,
                         )
                         for i in pending
                     }
@@ -310,7 +304,7 @@ class ParallelExecutor(Executor):
                         first_pass = False
                         for i in local:
                             per_partition[i] = self._run_local(
-                                partitions[i], engine, fast, max_blocks
+                                partitions[i], engine, max_blocks
                             )
                     for i in list(pending):
                         try:
@@ -342,7 +336,7 @@ class ParallelExecutor(Executor):
                     self.serial_fallback = True
                     for i in list(pending):
                         per_partition[i] = self._run_local(
-                            partitions[i], engine, fast, max_blocks
+                            partitions[i], engine, max_blocks
                         )
                         pending.remove(i)
                     break
@@ -355,7 +349,7 @@ class ParallelExecutor(Executor):
         else:
             for i, partition in enumerate(partitions):
                 per_partition[i] = self._run_local(
-                    partition, engine, fast, max_blocks
+                    partition, engine, max_blocks
                 )
         runs: List[SweepRun] = []
         for result in per_partition:

@@ -26,7 +26,7 @@ import json
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..analysis.report import Series, Table
-from ..analysis.sweep import SweepRun
+from ..analysis.sweep import SweepResult, SweepRun
 from ..core.config import SimulationConfig
 
 #: Bumped on any backwards-incompatible schema change.
@@ -93,11 +93,13 @@ def _field_value(run: SweepRun, name: str) -> Any:
     )
 
 
-class ResultSet:
+class ResultSet(SweepResult):
     """All runs of one experiment, with metadata and extraction helpers.
 
     ``runs`` is the live, deterministic-order run list;
     ``meta`` carries the spec name, engine, executor, jobs, and timing.
+    The run lookups (``by_workload``, ``by_label``, ``workloads``,
+    ``failures``, ``errors``) are :class:`SweepResult`'s.
     """
 
     def __init__(
@@ -108,43 +110,11 @@ class ResultSet:
         self.runs: List[SweepRun] = list(runs)
         self.meta: Dict[str, Any] = dict(meta or {})
 
-    # ------------------------------------------------------------------
-    # SweepResult-compatible lookups
-    # ------------------------------------------------------------------
-
     def __len__(self) -> int:
         return len(self.runs)
 
     def __iter__(self):
         return iter(self.runs)
-
-    def by_workload(self, name: str) -> List[SweepRun]:
-        """Runs of one workload, in cell order."""
-        return [run for run in self.runs if run.workload == name]
-
-    def by_label(self, label: str) -> List[SweepRun]:
-        """Runs whose config label/strategy name matches ``label``."""
-        return [
-            run for run in self.runs
-            if run.config.strategy_name == label
-        ]
-
-    def workloads(self) -> List[str]:
-        """Distinct workload names in first-seen order."""
-        seen: List[str] = []
-        for run in self.runs:
-            if run.workload not in seen:
-                seen.append(run.workload)
-        return seen
-
-    def failures(self) -> List[SweepRun]:
-        """Runs whose oracle rejected the final machine state."""
-        return [run for run in self.runs if not run.ok]
-
-    def errors(self) -> List[SweepRun]:
-        """Runs whose cell raised instead of completing (a subset of
-        :meth:`failures`)."""
-        return [run for run in self.runs if run.error is not None]
 
     # ------------------------------------------------------------------
     # Extraction

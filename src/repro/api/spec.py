@@ -176,7 +176,6 @@ class ExperimentSpec:
             ``None`` (the default) picks "parallel" when ``jobs`` > 1,
             else "serial".
         jobs: worker processes for the parallel executor.
-        fast: disable event/trace recording in every cell.
         max_blocks: optional per-cell block budget.
         name: spec name, carried into the result-set metadata.
         store: persistent result-store directory (``repro.store``);
@@ -192,7 +191,6 @@ class ExperimentSpec:
     engine: str = "machine"
     executor: Optional[str] = None
     jobs: int = 1
-    fast: bool = True
     max_blocks: Optional[int] = None
     name: str = "experiment"
     store: Optional[str] = None
@@ -292,7 +290,7 @@ class ExperimentSpec:
             )
         known = {
             "workloads", "axes", "base", "engine", "executor",
-            "jobs", "fast", "max_blocks", "name", "store",
+            "jobs", "max_blocks", "name", "store",
         }
         unknown = [k for k in data if k not in known]
         if unknown:
@@ -329,7 +327,6 @@ class ExperimentSpec:
             "engine": self.engine,
             "executor": self.executor,
             "jobs": self.jobs,
-            "fast": self.fast,
             "max_blocks": self.max_blocks,
             "store": self.store,
         }

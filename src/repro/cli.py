@@ -364,7 +364,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             k_compress=k, k_decompress=args.k_decompress,
             predictor=args.predictor, hierarchy=args.hierarchy,
             assignment=args.assignment, profile=profile,
-            trace_events=False, record_trace=False,
         )
         for k in k_values
     ]
@@ -398,8 +397,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     configs = [
         SimulationConfig(decompression="none", codec="null",
                          label="uncompressed",
-                         hierarchy=args.hierarchy,
-                         trace_events=False, record_trace=False),
+                         hierarchy=args.hierarchy),
     ]
     for strategy in ("ondemand", "pre-all", "pre-single"):
         configs.append(
@@ -411,7 +409,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 predictor=args.predictor, label=strategy,
                 hierarchy=args.hierarchy,
                 assignment=args.assignment, profile=profile,
-                trace_events=False, record_trace=False,
             )
         )
     result = api.run_grid(

@@ -32,11 +32,6 @@ from .machine import BlockOutcome, MachineError
 #: with a bitmask).
 WINDOW_SIZE = 32
 
-#: Minimum number of windows before :class:`PreparedTrace` shards the
-#: window precompute across processes (below this the fork overhead
-#: dwarfs the work).  Module-level so tests can lower it.
-_SHARD_MIN_WINDOWS = 4096
-
 
 def _build_window(
     trace: Sequence[int],
@@ -118,16 +113,6 @@ def _build_window(
     )
 
 
-def _build_window_range(args) -> List[Tuple]:
-    """Worker for the sharded window precompute (fork-friendly)."""
-    trace, unit_steps, cycles, instructions, width, first, last = args
-    return [
-        _build_window(trace, unit_steps, cycles, instructions, wi * width,
-                      width)
-        for wi in range(first, last)
-    ]
-
-
 class ReplayPlan:
     """Precomputed per-step arrays + window aggregates for one
     (trace, unit granularity) pair.
@@ -151,7 +136,6 @@ class ReplayPlan:
         cycles: Sequence[int],
         instructions: Sequence[int],
         unit_of: Dict[int, int],
-        processes: Optional[int] = None,
     ) -> None:
         self.trace = list(trace)
         self.cycles = list(cycles)
@@ -163,8 +147,13 @@ class ReplayPlan:
             BranchSite(block.block_id, len(block) - 1)
             for block in cfg.blocks
         ]
-        self.window_size = WINDOW_SIZE
-        self.windows = self._build_windows(processes)
+        self.window_size = width = WINDOW_SIZE
+        # Each window also reads the step after it (its final edge).
+        self.windows = [
+            _build_window(self.trace, self.unit_steps, self.cycles,
+                          self.instructions, start, width)
+            for start in range(0, len(self.trace) - width, width)
+        ]
         # Trace-wide aggregates (the batched kernel charges these in one
         # operation each instead of summing per step).
         self.total_cycles = sum(self.cycles)
@@ -186,59 +175,6 @@ class ReplayPlan:
             entered[unit] = None
         #: Distinct units the trace enters, in first-entry order.
         self.entered_units = tuple(entered)
-
-    def _build_windows(
-        self, processes: Optional[int]
-    ) -> List[Tuple]:
-        width = self.window_size
-        n = len(self.trace)
-        count = (n - 1 - width) // width + 1 if n - 1 >= width else 0
-        if count <= 0:
-            return []
-        if processes and processes > 1 and count >= _SHARD_MIN_WINDOWS:
-            built = self._build_windows_sharded(count, processes)
-            if built is not None:
-                return built
-        return [
-            _build_window(self.trace, self.unit_steps, self.cycles,
-                          self.instructions, wi * width, width)
-            for wi in range(count)
-        ]
-
-    def _build_windows_sharded(
-        self, count: int, processes: int
-    ) -> Optional[List[Tuple]]:
-        """Shard the window precompute over a fork pool (opt-in).
-
-        Returns None when multiprocessing is unavailable so the caller
-        falls back to the serial build; the output is identical either
-        way (windows are pure functions of their step range).
-        """
-        try:
-            import multiprocessing
-
-            context = multiprocessing.get_context("fork")
-        except (ImportError, ValueError):
-            return None
-        shards = min(processes, count)
-        bounds = [
-            (count * i // shards, count * (i + 1) // shards)
-            for i in range(shards)
-        ]
-        args = [
-            (self.trace, self.unit_steps, self.cycles, self.instructions,
-             self.window_size, first, last)
-            for first, last in bounds
-        ]
-        try:
-            with context.Pool(shards) as pool:
-                parts = pool.map(_build_window_range, args)
-        except OSError:
-            return None
-        windows: List[Tuple] = []
-        for part in parts:
-            windows.extend(part)
-        return windows
 
 
 class PreparedTrace:
@@ -302,9 +238,6 @@ class PreparedTrace:
         #: hierarchy name -> per-block (read_bytes, read_cycles) for the
         #: uncompressed-mode entry charge.
         self._entry_charges: Dict[str, Tuple[List[int], List[int]]] = {}
-        #: Opt-in process count for the sharded window precompute
-        #: (set by the sweep layer for very large traces).
-        self.shard_processes: Optional[int] = None
 
     def plan(
         self, granularity: str, unit_of: Dict[int, int]
@@ -316,10 +249,8 @@ class PreparedTrace:
         """
         plan = self._plans.get(granularity)
         if plan is None:
-            plan = ReplayPlan(
-                self.cfg, self.trace, self.cycles, self.instructions,
-                unit_of, processes=self.shard_processes,
-            )
+            plan = ReplayPlan(self.cfg, self.trace, self.cycles,
+                              self.instructions, unit_of)
             self._plans[granularity] = plan
         return plan
 

@@ -50,23 +50,38 @@ from .metrics import ServiceMetrics
 
 _log = logging.getLogger("repro.service")
 
-#: Protocol limits: one header line / total body.
+#: Protocol limits: one header line / header count / total body.
 MAX_HEADER_LINE = 16 * 1024
+MAX_HEADERS = 100
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Idle keep-alive timeout between requests on one connection.
 KEEPALIVE_TIMEOUT_S = 60.0
 
+#: Deadline for a request's header block and body, once its request
+#: line has arrived.
+REQUEST_TIMEOUT_S = 30.0
+
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict",
+    405: "Method Not Allowed", 408: "Request Timeout", 409: "Conflict",
     413: "Payload Too Large", 429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
 
 
 def _json_bytes(obj: Any) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+
+
+class RequestError(Exception):
+    """A request that cannot be read; answered with ``status`` and a
+    JSON error body, then the connection is closed."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class SweepServer:
@@ -118,7 +133,16 @@ class SweepServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except RequestError as exc:
+                    self._write_response(
+                        writer, exc.status,
+                        _json_bytes({"error": str(exc)}),
+                        "application/json", close=True,
+                    )
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -160,32 +184,67 @@ class SweepServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+        """The next request, or None when the client is gone or idle.
+
+        Raises :class:`RequestError` for a request that arrived but
+        cannot be served: malformed, over a protocol limit, or not
+        complete within :data:`REQUEST_TIMEOUT_S`.
+        """
         try:
             line = await asyncio.wait_for(
                 reader.readline(), KEEPALIVE_TIMEOUT_S
             )
         except asyncio.TimeoutError:
             return None
-        if not line or len(line) > MAX_HEADER_LINE:
+        if not line:
             return None
+        if len(line) > MAX_HEADER_LINE:
+            raise RequestError(400, "request line too long")
         parts = line.decode("latin-1").split()
         if len(parts) != 3:
-            return None
+            raise RequestError(400, "malformed request line")
         method, target, _version = parts
+        try:
+            headers, body = await asyncio.wait_for(
+                self._read_head_and_body(reader), REQUEST_TIMEOUT_S
+            )
+        except asyncio.TimeoutError:
+            raise RequestError(
+                408, f"request incomplete after {REQUEST_TIMEOUT_S}s"
+            ) from None
+        return method, target, headers, body
+
+    @staticmethod
+    async def _read_head_and_body(
+        reader: asyncio.StreamReader,
+    ) -> Tuple[Dict[str, str], bytes]:
         headers: Dict[str, str] = {}
+        lines = 0
         while True:
             raw = await reader.readline()
             if raw in (b"\r\n", b"\n", b""):
                 break
+            lines += 1
+            if lines > MAX_HEADERS:
+                raise RequestError(
+                    431, f"more than {MAX_HEADERS} header lines"
+                )
             if len(raw) > MAX_HEADER_LINE:
-                return None
+                raise RequestError(431, "header line too long")
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > MAX_BODY_BYTES:
-            return None
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise RequestError(
+                400, f"invalid Content-Length {raw_length!r}"
+            )
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            raise RequestError(
+                413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         body = await reader.readexactly(length) if length else b""
-        return method, target, headers, body
+        return headers, body
 
     # ------------------------------------------------------------------
     # Routing

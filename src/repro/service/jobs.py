@@ -98,7 +98,6 @@ def job_key(spec: ExperimentSpec) -> str:
         "base": dict(spec.base),
         "axes": [dict(override) for override in spec.axes],
         "engine": spec.engine,
-        "fast": spec.fast,
         "max_blocks": spec.max_blocks,
     }
     return hashlib.sha256(
@@ -475,7 +474,7 @@ class JobManager:
             Partition(workload=name, configs=configs)
             for name, configs in spec.partitions()
         ]
-        plan = plan_cells(partitions, engine=spec.engine, fast=spec.fast,
+        plan = plan_cells(partitions, engine=spec.engine,
                           max_blocks=spec.max_blocks)
 
         # Resolve every cell: store hit, my claim, or someone else's.
@@ -564,7 +563,7 @@ class JobManager:
                     retry=self.retry,
                 )
                 flat = inner.run(
-                    claimed_parts, engine=spec.engine, fast=spec.fast,
+                    claimed_parts, engine=spec.engine,
                     max_blocks=spec.max_blocks,
                 )
                 cursor = 0
@@ -605,7 +604,7 @@ class JobManager:
                     if run is None:
                         run = run_partition(
                             partition.workload, [config], spec.engine,
-                            spec.fast, spec.max_blocks, self.retry,
+                            spec.max_blocks, self.retry,
                         )[0]
                         source = "computed"
                         computed += 1

@@ -30,7 +30,7 @@ is therefore ignored) whenever any of these change:
 * the workload's program bytes (covers generated/synthetic programs);
 * any :class:`~repro.core.config.SimulationConfig` field (the offline
   edge profile hashes by content);
-* the sweep engine, the ``fast`` flag, or ``max_blocks``;
+* the sweep engine or ``max_blocks``;
 * the registered component catalog (a newly registered codec/strategy
   changes behaviour without changing repo sources);
 * the ``REPRO_STORE_SALT`` environment variable (manual invalidation).

@@ -11,7 +11,7 @@ everything that determines a cell's result:
   content, not by name);
 * the full **configuration** — every :class:`SimulationConfig` field,
   with the in-memory edge profile replaced by a content digest;
-* the **engine**, the ``fast`` flag, and ``max_blocks``;
+* the **engine** and ``max_blocks``;
 * the registered **component catalog** (externally registered codecs
   or strategies change behaviour without changing repo sources);
 * the ``REPRO_STORE_SALT`` environment variable, for manual
@@ -40,7 +40,7 @@ from ..registry import catalog_signature
 from ..workloads.suite import Workload
 
 #: Bumped on any change to the fingerprint payload shape itself.
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 #: Subpackages whose sources determine simulation results.  ``api``,
 #: ``analysis`` (bar the sweep engines), ``store``, and the CLI shape
@@ -162,7 +162,6 @@ def cell_fingerprint(
     workload: Workload,
     config: SimulationConfig,
     engine: str = "machine",
-    fast: bool = True,
     max_blocks: Optional[int] = None,
     *,
     workload_id: Optional[str] = None,
@@ -187,7 +186,6 @@ def cell_fingerprint(
         else workload_digest(workload),
         "config": config_signature(config),
         "engine": engine,
-        "fast": bool(fast),
         "max_blocks": max_blocks,
     }
     return hashlib.sha256(

@@ -12,18 +12,22 @@ contracts pinned here:
   overlapping cell **at most once** (store ``puts`` == distinct
   cells), and both results are byte-equal to serial recomputation;
 * SSE streams one event per cell plus a final ``end`` frame;
+* a malformed, oversized or stalled request is answered with a 4xx
+  status before the connection closes, never dropped silently;
 * graceful shutdown leaves a journal a second server resumes from.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 
 import pytest
 
 from repro import api
 from repro.cli import main as cli_main
+from repro.service import app
 from repro.service import (
     ServerThread,
     ServiceClient,
@@ -136,6 +140,53 @@ class TestErrorReplies:
         assert err.value.status == 409
         gate.set()
         client.wait(reply["job"])
+
+
+def _raw_exchange(server, head: bytes) -> bytes:
+    """Send raw request bytes; return everything the server answers
+    before it closes the connection."""
+    with socket.create_connection((server.host, server.port),
+                                  timeout=10.0) as sock:
+        sock.sendall(head)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _status(reply: bytes) -> int:
+    assert reply, "connection closed without a response"
+    return int(reply.split(b" ", 2)[1])
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("head, status", [
+        (b"POST /jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+        (b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+        (b"POST /jobs HTTP/1.1\r\nContent-Length: 1e3\r\n\r\n", 400),
+        (b"POST /jobs HTTP/1.1\r\nContent-Length: \xb2\r\n\r\n", 400),
+        (b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+         % (app.MAX_BODY_BYTES + 1), 413),
+        (b"GET /healthz HTTP/1.1\r\n"
+         + b"X-Filler: 1\r\n" * (app.MAX_HEADERS + 1) + b"\r\n", 431),
+        (b"GET /healthz HTTP/1.1\r\n"
+         + b"X-Filler: 1\r\n" * (app.MAX_HEADERS - 1)
+         + b"Connection: close\r\n\r\n", 200),
+    ])
+    def test_answered_with_status(self, server, head, status):
+        assert _status(_raw_exchange(server, head)) == status
+
+    @pytest.mark.parametrize("head", [
+        b"POST /jobs HTTP/1.1\r\nHost: x\r\n",
+        b"POST /jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{",
+    ])
+    def test_incomplete_request_times_out_with_408(
+        self, server, monkeypatch, head
+    ):
+        monkeypatch.setattr(app, "REQUEST_TIMEOUT_S", 0.5)
+        assert _status(_raw_exchange(server, head)) == 408
 
 
 class TestMetricsAgreement:

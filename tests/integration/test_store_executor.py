@@ -38,12 +38,11 @@ class CountingSerial(SerialExecutor):
         super().__init__(jobs)
         self.cells_computed = 0
 
-    def run(self, partitions, engine="machine", fast=True,
-            max_blocks=None):
+    def run(self, partitions, engine="machine", max_blocks=None):
         self.cells_computed += sum(
             len(p.configs) for p in partitions
         )
-        return super().run(partitions, engine=engine, fast=fast,
+        return super().run(partitions, engine=engine,
                            max_blocks=max_blocks)
 
 

@@ -189,8 +189,9 @@ class TestSpecJson:
         assert len(spec.configs()) == 3
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(SpecError, match="unknown spec key"):
-            ExperimentSpec.from_dict({"workloads": ["fib"], "cpus": 4})
+        for extra in ({"cpus": 4}, {"fast": True}):
+            with pytest.raises(SpecError, match="unknown spec key"):
+                ExperimentSpec.from_dict({"workloads": ["fib"], **extra})
 
     def test_from_dict_rejects_bad_axes_operator(self):
         with pytest.raises(SpecError, match="unknown axes operator"):

@@ -62,13 +62,12 @@ class TestFingerprint:
         assert cell_fingerprint(workload, _config()) != \
             cell_fingerprint(workload, _config(**change))
 
-    def test_engine_fast_and_max_blocks_participate(self):
+    def test_engine_and_max_blocks_participate(self):
         workload = get_workload("fib")
         config = _config()
         base = cell_fingerprint(workload, config, engine="machine")
         assert base != cell_fingerprint(workload, config,
                                         engine="trace")
-        assert base != cell_fingerprint(workload, config, fast=False)
         assert base != cell_fingerprint(workload, config,
                                         max_blocks=100)
 

@@ -236,61 +236,3 @@ class TestTraceTruncation:
             "sweep.trace_fallback" in record.getMessage()
             for record in caplog.records
         )
-
-
-class TestShardedWindowBuild:
-    def test_sharded_build_matches_serial(self, traced_workload,
-                                          monkeypatch):
-        import repro.runtime.trace_sim as trace_sim
-
-        cfg, trace = traced_workload
-        unit_of = {block.block_id: block.block_id
-                   for block in cfg.blocks}
-
-        serial = trace_sim.PreparedTrace(cfg, trace)
-        serial_plan = serial.plan("block", unit_of)
-
-        # Force the sharded path even for this modest trace.
-        monkeypatch.setattr(trace_sim, "_SHARD_MIN_WINDOWS", 1)
-        sharded = trace_sim.PreparedTrace(cfg, trace)
-        sharded.shard_processes = 2
-        sharded_plan = sharded.plan("block", unit_of)
-
-        assert sharded_plan.windows == serial_plan.windows
-        assert sharded_plan.total_cycles == serial_plan.total_cycles
-        assert sharded_plan.edge_items == serial_plan.edge_items
-
-    def test_replay_shards_env_opts_in(self, traced_workload,
-                                       monkeypatch):
-        from repro.analysis.sweep import _recorded_trace
-        from repro.workloads import get_workload
-
-        monkeypatch.setenv("REPRO_REPLAY_SHARDS", "3")
-        workload = get_workload("dijkstra")
-        cfg, _ = traced_workload
-        prepared, validation, reason = _recorded_trace(
-            workload, cfg,
-            SimulationConfig(decompression="ondemand", **_FAST),
-            None,
-        )
-        assert reason is None
-        assert prepared.shard_processes == 3
-
-    def test_sharded_replay_metrics_match(self, traced_workload,
-                                          monkeypatch):
-        import repro.runtime.trace_sim as trace_sim
-
-        cfg, trace = traced_workload
-        config = SimulationConfig(
-            codec="shared-dict", decompression="ondemand",
-            k_compress=2, **_FAST,
-        )
-        serial = simulate_trace(
-            cfg, trace_sim.PreparedTrace(cfg, trace), config
-        )
-        monkeypatch.setattr(trace_sim, "_SHARD_MIN_WINDOWS", 1)
-        prepared = trace_sim.PreparedTrace(cfg, trace)
-        prepared.shard_processes = 2
-        sharded = simulate_trace(cfg, prepared, config)
-        assert sharded.total_cycles == serial.total_cycles
-        assert sharded.counters == serial.counters
