@@ -2,8 +2,8 @@
 compression events, and verify transparency against the uncompressed run.
 
 Shows the lower-level APIs a systems researcher would script against:
-``ProgramBuilder``, the event log, per-block compression stats, and the
-footprint timeline.
+``ProgramBuilder``, the tracer's event stream, per-block compression
+stats, and the footprint timeline.
 
 Run with::
 
@@ -13,7 +13,6 @@ Run with::
 from repro import ProgramBuilder, SimulationConfig, api, build_cfg
 from repro.compress import measure_image, get_codec
 from repro.isa import instructions as ins
-from repro.runtime import EventKind
 
 
 def build_program():
@@ -65,13 +64,12 @@ def main() -> None:
         cfg, SimulationConfig(decompression="none")
     )
 
-    # Compressed run with full event tracing; the live manager gives
-    # access to the event log afterwards.
-    manager, result = api.run_instrumented(
+    # Compressed run with span tracing armed; the tracer holds the
+    # event stream (faults, fills, patches, recompressions) afterwards.
+    result, tracer = api.run_traced(
         cfg,
         SimulationConfig(
             decompression="pre-single", k_compress=3, k_decompress=2,
-            trace_events=True,
         ),
     )
 
@@ -79,9 +77,9 @@ def main() -> None:
     print(f"result r14 = {result.registers[14]} (matches baseline)\n")
 
     print("first 20 compression events:")
-    print(manager.log.render(limit=20))
+    print(tracer.render(limit=20))
 
-    recompressions = manager.log.of_kind(EventKind.RECOMPRESS)
+    recompressions = tracer.events("recompress")
     print(f"\n{len(recompressions)} recompressions; "
           f"{result.counters.faults} faults; "
           f"overhead {result.cycle_overhead:.1%}; "

@@ -1,8 +1,8 @@
-"""Setup shim.
+"""Package metadata and install entry point.
 
-The project metadata lives in ``pyproject.toml``; this file exists so that
-``pip install -e .`` works on environments without the ``wheel`` package
-(pip falls back to the legacy ``setup.py develop`` editable path).
+This file is the project's only packaging metadata: ``pip install -e .``
+installs the ``repro`` package from ``src/``.  Tests and tools run
+without installing, via ``PYTHONPATH=src`` (see the Makefile).
 """
 
 from setuptools import find_packages, setup

@@ -170,7 +170,7 @@ def bench_manager_loop(smoke: bool = False) -> Dict[str, object]:
     cfg = build_cfg(get_workload("composite").program)
     config = SimulationConfig(
         codec="shared-dict", decompression="ondemand", k_compress=4,
-        trace_events=False, record_trace=False,
+        record_trace=False,
     )
     # Warm the shared compression artifacts so the loop, not codec
     # training, is what gets timed.
@@ -396,14 +396,12 @@ def bench_trace_replay_batched(smoke: bool = False) -> Dict[str, object]:
     from ..runtime.trace_sim import PreparedTrace, simulate_trace
 
     graph = build_cfg(get_workload("composite").program)
-    recording = SimulationConfig(
-        decompression="none", record_trace=True, trace_events=False,
-    )
+    recording = SimulationConfig(decompression="none", record_trace=True)
     recorded = CodeCompressionManager(graph, recording).run()
     prepared = PreparedTrace(graph, recorded.block_trace)
     config = SimulationConfig(
         codec="shared-dict", decompression="ondemand", k_compress=4,
-        trace_events=False, record_trace=False,
+        record_trace=False,
     )
     # One warm pass each: codec training and compression artifacts are
     # shared, so the timed loops measure the engines, not the caches.

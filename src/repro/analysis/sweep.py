@@ -128,10 +128,12 @@ class SweepResult:
 def effective_config(config: SimulationConfig) -> SimulationConfig:
     """The config a sweep cell actually reports under.
 
-    Event and trace recording are turned off (the counters and footprint
+    Block-trace recording is turned off (the counters and footprint
     timeline are unaffected); every engine applies this before running,
     and cache fingerprints are computed on the result so a cell's
-    identity matches what its runs carry.
+    identity matches what its runs carry.  ``trace_events`` is ignored
+    by the simulator but still pinned to False, so fingerprints and
+    golden result files stay byte-identical.
     """
     return config.replace(trace_events=False, record_trace=False)
 
@@ -304,7 +306,6 @@ def _recorded_trace(
     recording = SimulationConfig(
         decompression="none",
         record_trace=True,
-        trace_events=False,
         data_words=template.data_words,
         max_steps=template.max_steps,
     )

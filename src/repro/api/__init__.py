@@ -188,9 +188,10 @@ def run_instrumented(
 ):
     """Run one cell and keep the live manager for introspection.
 
-    Returns ``(manager, result)`` — for consumers that need the event
-    log, the memory image, or the machine state (E8/E9-style analyses);
-    grid runs should use :func:`run_grid` instead.
+    Returns ``(manager, result)`` — for consumers that need the memory
+    image or the machine state (E8-style analyses); the event stream
+    comes from :func:`run_traced`, and grid runs should use
+    :func:`run_grid` instead.
     """
     if isinstance(workload, ProgramCFG):
         cfg = workload
@@ -239,8 +240,7 @@ def run_traced(
         recording = CodeCompressionManager(
             cfg,
             SimulationConfig(
-                decompression="none", codec="null",
-                trace_events=False, record_trace=True,
+                decompression="none", codec="null", record_trace=True,
             ),
         ).run(max_blocks=max_blocks)
         prepared = PreparedTrace.from_result(cfg, recording)
@@ -281,8 +281,7 @@ def profile_workload(
     run = run_one(
         workload,
         SimulationConfig(
-            decompression="none", codec="null",
-            trace_events=False, record_trace=True,
+            decompression="none", codec="null", record_trace=True,
         ),
         max_blocks=max_blocks,
     )

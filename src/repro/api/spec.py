@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -38,7 +39,7 @@ from typing import (
     Union,
 )
 
-from ..core.config import ConfigError, SimulationConfig
+from ..core.config import SimulationConfig
 from ..analysis.sweep import ENGINES, available_engines
 from ..workloads.suite import WORKLOADS, Workload, get_workload
 
@@ -89,6 +90,23 @@ def parse_k(value: object, *, field_name: str = "k") -> Optional[int]:
 # ----------------------------------------------------------------------
 
 
+def _is_int(value: object) -> bool:
+    """True for a plain integer (``bool`` is an int subclass; not here)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _axis_values(name: str, values: Any) -> List[Any]:
+    """An axis's value list; a bare string or scalar is a spec error."""
+    if isinstance(values, (str, bytes, Mapping)) or not isinstance(
+        values, Iterable
+    ):
+        raise SpecError(
+            f"axis '{name}' must be a list of values, "
+            f"got {type(values).__name__}"
+        )
+    return list(values)
+
+
 def _check_axis_fields(names: Sequence[str]) -> None:
     for name in names:
         if name not in CONFIG_FIELDS:
@@ -106,7 +124,7 @@ def grid(**axes: Sequence[Any]) -> List[Dict[str, Any]]:
     """
     _check_axis_fields(list(axes))
     names = list(axes)
-    value_lists = [list(axes[name]) for name in names]
+    value_lists = [_axis_values(name, axes[name]) for name in names]
     for name, values in zip(names, value_lists):
         if not values:
             raise SpecError(f"axis '{name}' has no values")
@@ -122,7 +140,10 @@ def zip_axes(**axes: Sequence[Any]) -> List[Dict[str, Any]]:
     _check_axis_fields(list(axes))
     if not axes:
         raise SpecError("zip_axes needs at least one axis")
-    lengths = {name: len(list(values)) for name, values in axes.items()}
+    value_lists = {
+        name: _axis_values(name, values) for name, values in axes.items()
+    }
+    lengths = {name: len(values) for name, values in value_lists.items()}
     if len(set(lengths.values())) != 1:
         raise SpecError(
             f"zip_axes requires equal-length axes, got {lengths}"
@@ -130,7 +151,7 @@ def zip_axes(**axes: Sequence[Any]) -> List[Dict[str, Any]]:
     names = list(axes)
     return [
         dict(zip(names, combo))
-        for combo in zip(*(list(axes[name]) for name in names))
+        for combo in zip(*(value_lists[name] for name in names))
     ]
 
 
@@ -196,6 +217,7 @@ class ExperimentSpec:
     store: Optional[str] = None
 
     def __post_init__(self) -> None:
+        self._check_types()
         if self.engine not in ENGINES:
             raise SpecError(
                 f"unknown sweep engine '{self.engine}'; "
@@ -221,6 +243,37 @@ class ExperimentSpec:
         # Fail fast on malformed configs at spec-build time, not midway
         # through a long grid.
         self.configs()
+
+    def _check_types(self) -> None:
+        """Reject wrong-typed fields (JSON specs are untrusted input) as
+        :class:`SpecError` before a comparison can raise ``TypeError``."""
+
+        def seq_of(value: Any, kind: type) -> bool:
+            return isinstance(value, Sequence) and all(
+                isinstance(item, kind) for item in value
+            )
+
+        for name, ok, expected in (
+            ("workloads", isinstance(self.workloads, str)
+             or seq_of(self.workloads, str), "a name or a list of names"),
+            ("axes", seq_of(self.axes, Mapping), "a list of mappings"),
+            ("base", isinstance(self.base, Mapping), "a mapping"),
+            ("engine", isinstance(self.engine, str), "a string"),
+            ("executor", self.executor is None
+             or isinstance(self.executor, str), "a string or null"),
+            ("jobs", _is_int(self.jobs), "an integer"),
+            ("max_blocks", self.max_blocks is None
+             or _is_int(self.max_blocks), "an integer or null"),
+            ("name", isinstance(self.name, str), "a string"),
+            ("store", self.store is None
+             or isinstance(self.store, str), "a string or null"),
+        ):
+            if not ok:
+                value = getattr(self, name)
+                raise SpecError(
+                    f"spec field '{name}' must be {expected}, got "
+                    f"{type(value).__name__} {value!r}"
+                )
 
     # ------------------------------------------------------------------
     # Expansion
@@ -251,7 +304,10 @@ class ExperimentSpec:
                 )
             try:
                 configs.append(SimulationConfig(**fields))
-            except ConfigError as exc:
+            except (TypeError, ValueError) as exc:
+                # ConfigError is a ValueError; a wrong-typed value
+                # (``"fault_cycles": "a"``) fails inside validation as
+                # a TypeError.  Either way, name the fields.
                 raise SpecError(f"invalid config {fields}: {exc}") from exc
         if not configs:
             raise SpecError("spec expands to zero configurations")
@@ -310,7 +366,7 @@ class ExperimentSpec:
         with open(path, "r", encoding="utf-8") as handle:
             try:
                 data = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise SpecError(f"cannot parse spec {path}: {exc}") from exc
         spec = cls.from_dict(data)
         if "name" not in data:
@@ -351,15 +407,19 @@ def _expand_axes_blocks(data: Any) -> List[Dict[str, Any]]:
                 '{"grid": {...}}, {"zip": {...}}, {"cases": [...]}'
             )
         op, value = next(iter(block.items()))
-        if op == "grid":
-            out.extend(grid(**value))
-        elif op == "zip":
-            out.extend(zip_axes(**value))
-        elif op == "cases":
-            out.extend(cases(*value))
-        else:
-            raise SpecError(
-                f"unknown axes operator '{op}'; "
-                f"valid: 'grid', 'zip', 'cases'"
-            )
+        try:
+            if op == "grid":
+                out.extend(grid(**value))
+            elif op == "zip":
+                out.extend(zip_axes(**value))
+            elif op == "cases":
+                out.extend(cases(*value))
+            else:
+                raise SpecError(
+                    f"unknown axes operator '{op}'; "
+                    f"valid: 'grid', 'zip', 'cases'"
+                )
+        except TypeError as exc:
+            # ``**5`` / ``*5``: the block's value has the wrong shape.
+            raise SpecError(f"malformed '{op}' axes block: {exc}") from None
     return out

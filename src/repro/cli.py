@@ -291,7 +291,6 @@ def _config_from_args(
         hierarchy=args.hierarchy,
         assignment=args.assignment,
         profile=profile,
-        trace_events=False,
         record_trace=False,
     )
 

@@ -89,7 +89,10 @@ class SimulationConfig:
             the decompression thread already has this many jobs queued
             (real prefetchers shed load instead of queueing unboundedly;
             a dropped request simply faults on demand later).
-        trace_events: keep the event log (disable for large sweeps).
+        trace_events: ignored.  Accepted so existing specs and
+            fingerprints keep working; the event stream is the opt-in
+            :class:`~repro.obs.SpanTracer` (``tracer=`` or
+            :func:`repro.api.run_traced`), never a config field.
         record_trace: keep the executed block-id sequence in the result.
         data_words: machine data memory size in 32-bit words.
         max_steps: instruction budget guard against runaway kernels.

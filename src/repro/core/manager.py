@@ -40,7 +40,6 @@ from typing import Deque, List, Optional, Set, Tuple
 from ..cfg.builder import ProgramCFG
 from ..cfg.profile import EdgeProfile
 from ..obs.tracer import Tracer, current_tracer
-from ..runtime.events import EventKind, EventLog
 from ..runtime.machine import Machine
 from ..runtime.metrics import Counters, SimulationResult
 from ..strategies.base import (
@@ -93,7 +92,6 @@ class CodeCompressionManager:
             data_words=self.config.data_words,
             max_steps=self.config.max_steps,
         )
-        self.log = EventLog(enabled=self.config.trace_events)
         self.counters = Counters()
         self.profile = EdgeProfile()  # online access pattern, always kept
 
@@ -112,7 +110,7 @@ class CodeCompressionManager:
             self.config, self.counters, self.tracer
         )
         self.residency = ResidencySubsystem(
-            cfg, self.config, self.timing, self.counters, self.log
+            cfg, self.config, self.timing, self.counters
         )
 
         # ---- policies ----------------------------------------------
@@ -306,6 +304,7 @@ class CodeCompressionManager:
         """
         residency = self.residency
         timing = self.timing
+        tracer = self.tracer
         if residency.image is None:
             return
         unit_id = residency.unit_of(block_id)
@@ -321,7 +320,8 @@ class CodeCompressionManager:
         if not residency.is_unit_resident(unit_id):
             # Full memory-protection fault (Figure 5 steps 2, 4, 9).
             self.counters.faults += 1
-            self.log.emit(timing.now, EventKind.FAULT, block_id)
+            if tracer.enabled:
+                tracer.fault(timing.now, block_id)
             residency.enforce_budget(
                 unit_id,
                 protected=self._protected_units()
@@ -336,18 +336,16 @@ class CodeCompressionManager:
             )
             timing.stall(stall)
             residency.mark_ready(unit_id, timing.now)
-            self.log.emit(timing.now, EventKind.DECOMPRESS_DONE, unit_id,
-                          stall)
             if site is not None:
                 residency.remember.add_reference(block_id, site)
                 self.counters.patches += 1
-                self.log.emit(timing.now, EventKind.PATCH, block_id)
+                if tracer.enabled:
+                    tracer.patch(timing.now, block_id)
             return
 
-        waited = timing.wait_until(residency.ready_at(unit_id))
-        if waited:
-            # Pre-decompression still in flight: we waited it out.
-            self.log.emit(timing.now, EventKind.STALL, block_id, waited)
+        # Waiting out an in-flight pre-decompression is charged (and
+        # traced) as a ``decompress`` stall inside the timing model.
+        timing.wait_until(residency.ready_at(unit_id))
         timing.retire_decompressions()
 
         arrived_unpatched = came_from is not None and (
@@ -365,7 +363,8 @@ class CodeCompressionManager:
             if site is not None:
                 residency.remember.add_reference(block_id, site)
                 self.counters.patches += 1
-            self.log.emit(timing.now, EventKind.PATCH, block_id)
+            if tracer.enabled:
+                tracer.patch(timing.now, block_id)
 
     # ==================================================================
     # Main loop
@@ -477,7 +476,6 @@ class CodeCompressionManager:
                 self.block_trace.append(block_id)
             else:
                 self.trace_truncated = True
-        self.log.emit(self.timing.now, EventKind.BLOCK_ENTER, block_id)
 
         residency.mark_used(unit_id)
         self.compression.on_unit_enter(unit_id)
@@ -521,7 +519,7 @@ class CodeCompressionManager:
                 "compression policy tried to release the destination unit"
             )
             if residency.is_unit_resident(expired):
-                residency.release_unit(expired, EventKind.RECOMPRESS)
+                residency.release_unit(expired, "recompress")
 
         # Decompression side: let the policy request pre-decompressions.
         if self.decompression.uses_thread:
@@ -533,7 +531,6 @@ class CodeCompressionManager:
                     (choice,
                      self._blocks_entered + self.config.k_decompress + 1)
                 )
-                self.log.emit(self.timing.now, EventKind.PREDICT, choice)
             for block_id in targets:
                 residency.schedule_predecompression(
                     block_id, protected=self._protected_units()

@@ -24,7 +24,7 @@ shared subsystem state on exit via the ``absorb_*`` hooks on the
 timing model, the background worker, and the code image.  The
 trace/machine equivalence suite pins this; anything outside the
 kernel's envelope (pre-decompression policies, memory budgets, bounded
-or in-place images, armed tracers/logs, injected policy objects) simply
+or in-place images, armed tracers, injected policy objects) simply
 declines to engage and runs on the layered path unchanged.
 """
 
@@ -59,8 +59,7 @@ def try_batched_replay(manager: "CodeCompressionManager") -> bool:
     prepared = getattr(machine, "prepared", None)
     if prepared is None or machine.halted:
         return False
-    config = manager.config
-    if config.record_trace or manager.log.enabled:
+    if manager.config.record_trace:
         return False
     if manager.tracer is not NULL_TRACER and manager.tracer.enabled:
         return False

@@ -53,7 +53,6 @@ from ..selection.assignment import (
     build_assignment,
     unit_map,
 )
-from ..runtime.events import EventKind, EventLog
 from ..runtime.metrics import Counters, FootprintTimeline
 from ..strategies.budget import MemoryBudget
 from .config import SimulationConfig
@@ -74,13 +73,11 @@ class ResidencySubsystem:
         config: SimulationConfig,
         timing: TimingModel,
         counters: Counters,
-        log: EventLog,
     ) -> None:
         self.cfg = cfg
         self.config = config
         self.timing = timing
         self.counters = counters
-        self.log = log
         self.hierarchy: MemoryHierarchy = get_hierarchy(config.hierarchy)
         self.footprint = FootprintTimeline()
 
@@ -354,9 +351,12 @@ class ResidencySubsystem:
         if self.budget is not None:
             self.budget.on_unit_decompressed(unit_id)
 
-    def release_unit(self, unit_id: int, reason: EventKind) -> None:
+    def release_unit(self, unit_id: int, reason: str) -> None:
         """Delete ``unit_id``'s decompressed copy (Section 5: cheap —
         drop the copy, patch the remembered branches).
+
+        ``reason`` is ``"recompress"`` (the k-edge policy expired the
+        unit) or ``"evict"`` (the memory budget chose it as a victim).
 
         An in-flight pre-decompression job for the unit is cancelled
         with its unperformed work refunded, and the wasted-work counter
@@ -382,13 +382,12 @@ class ResidencySubsystem:
         )
         if self.timing.tracer.enabled:
             self.timing.tracer.release(
-                self.timing.now, unit_id, reason.name.lower(), patches
+                self.timing.now, unit_id, reason, patches
             )
         if self.on_unit_released is not None:
             self.on_unit_released(unit_id)
         if self.budget is not None:
             self.budget.on_unit_released(unit_id)
-        self.log.emit(self.timing.now, reason, unit_id, patches)
         self.sample_footprint()
 
     def enforce_budget(self, unit_id: int, protected: Set[int]) -> None:
@@ -403,7 +402,7 @@ class ResidencySubsystem:
             size_of=self.unit_uncompressed_size,
         )
         for victim in victims:
-            self.release_unit(victim, EventKind.EVICT)
+            self.release_unit(victim, "evict")
             self.counters.evictions += 1
 
     def schedule_predecompression(
@@ -430,7 +429,4 @@ class ResidencySubsystem:
             unit_id, self.unit_fill_cycles(unit_id)
         )
         self._ready_at[unit_id] = job.completes_at
-        self.log.emit(
-            self.timing.now, EventKind.DECOMPRESS_START, unit_id
-        )
         self.sample_footprint()

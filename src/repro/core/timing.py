@@ -111,11 +111,11 @@ class TimingModel:
 
     def cancel_decompression(self, unit_id: int) -> None:
         """Cancel a pending decompression, refunding unperformed work."""
-        if self.tracer.enabled:
+        job = self.decompress_worker.cancel(unit_id, self.now)
+        if job is not None and self.tracer.enabled:
             self.tracer.worker_cancel(
                 self.now, "decompression", unit_id
             )
-        self.decompress_worker.cancel(unit_id, self.now)
 
     def retire_decompressions(self) -> None:
         """Retire decompression jobs completed by ``now``."""

@@ -10,8 +10,9 @@ tracer recorded them and ``execute`` spans are synthesised to cover
 every remaining cycle from 0 to ``total_cycles``, so the cycle-sum of
 the execution track's spans equals the run's total cycles exactly (the
 cookbook recipe asserts this).  Background decompression/compression
-jobs render on their own tracks, and evictions/releases/decodes appear
-as instant events.
+jobs render on their own tracks, and the tracer's typed instants
+(faults, patches, fills, releases, cancels, decodes) appear as instant
+events.
 """
 
 from __future__ import annotations
@@ -107,16 +108,16 @@ def chrome_trace(
             "pid": pid,
             "tid": _WORKER_TRACKS.get(worker, DECOMPRESS_TRACK),
         })
-    for at, name, detail in tracer.instants:
+    for at, kind, subject, detail in tracer.instants:
         events.append({
-            "name": name,
+            "name": kind,
             "cat": "event",
             "ph": "i",
             "s": "t",
             "ts": max(at, 0),
             "pid": pid,
             "tid": EXECUTION_TRACK,
-            "args": {"detail": detail},
+            "args": {"subject": subject, "detail": detail},
         })
     return {
         "traceEvents": events,

@@ -47,11 +47,19 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Collection, Dict, Iterator, List, Optional, Tuple
 
 #: The stall taxonomy; one entry per distinct call site of
 #: ``TimingModel.stall``.
 STALL_KINDS = ("decompress", "patch", "mem", "contention")
+
+#: Instant kinds whose subject is a block id; the rest (``fill``,
+#: ``recompress``, ``evict``, ``cancel``) name a compression unit.
+BLOCK_INSTANTS = ("fault", "patch", "decode")
+
+#: One recorded instant: ``(cycle, kind, subject_id, detail)``.
+#: ``cycle`` is -1 for decodes (the codec runs outside the clock).
+Instant = Tuple[int, str, int, int]
 
 
 class Tracer:
@@ -64,6 +72,12 @@ class Tracer:
     """
 
     enabled = False
+
+    def fault(self, at: int, block_id: int) -> None:
+        """Fetching ``block_id`` raised a full memory-protection fault."""
+
+    def patch(self, at: int, block_id: int) -> None:
+        """The fault handler patched the branch into ``block_id``."""
 
     def stall(
         self, at: int, cycles: int, kind: str, counted: bool
@@ -132,6 +146,8 @@ class SpanTracer(Tracer):
             kind: 0 for kind in STALL_KINDS
         }
         self.counts: Dict[str, int] = {
+            "faults": 0,
+            "patches": 0,
             "fills": 0,
             "releases": 0,
             "evictions": 0,
@@ -146,9 +162,8 @@ class SpanTracer(Tracer):
         self.stall_spans: List[Tuple[int, int, str]] = []
         #: (worker, unit_id, started_at, completes_at) per background job.
         self.worker_spans: List[Tuple[str, int, int, int]] = []
-        #: (at, name, detail) instants: evictions, releases, decodes,
-        #: fills, cancels.
-        self.instants: List[Tuple[int, str, str]] = []
+        #: Typed instants in emission order (see :data:`Instant`).
+        self.instants: List[Instant] = []
 
     # -- recording hooks ----------------------------------------------
 
@@ -159,6 +174,20 @@ class SpanTracer(Tracer):
             self.dropped_spans += 1
             return False
         return True
+
+    def _instant(
+        self, at: int, kind: str, subject: int, detail: int
+    ) -> None:
+        if self._keep(self.instants):
+            self.instants.append((at, kind, subject, detail))
+
+    def fault(self, at: int, block_id: int) -> None:
+        self.counts["faults"] += 1
+        self._instant(at, "fault", block_id, 0)
+
+    def patch(self, at: int, block_id: int) -> None:
+        self.counts["patches"] += 1
+        self._instant(at, "patch", block_id, 0)
 
     def stall(
         self, at: int, cycles: int, kind: str, counted: bool
@@ -184,13 +213,11 @@ class SpanTracer(Tracer):
 
     def worker_cancel(self, at: int, worker: str, unit_id: int) -> None:
         self.counts["cancels"] += 1
-        if self._keep(self.instants):
-            self.instants.append((at, "cancel", f"{worker}:u{unit_id}"))
+        self._instant(at, "cancel", unit_id, 0)
 
     def fill(self, at: int, unit_id: int, cycles: int) -> None:
         self.counts["fills"] += 1
-        if self._keep(self.instants):
-            self.instants.append((at, "fill", f"u{unit_id}+{cycles}cy"))
+        self._instant(at, "fill", unit_id, cycles)
 
     def release(
         self, at: int, unit_id: int, reason: str, patches: int
@@ -198,17 +225,13 @@ class SpanTracer(Tracer):
         self.counts["releases"] += 1
         if reason == "evict":
             self.counts["evictions"] += 1
-        if self._keep(self.instants):
-            self.instants.append(
-                (at, reason, f"u{unit_id} patches={patches}")
-            )
+        self._instant(at, reason, unit_id, patches)
 
     def decode(self, block_id: int, codec: str, nbytes: int) -> None:
         self.counts["decodes"] += 1
         # Decodes happen at most once per block per shared artifact set;
         # they are recorded as count + instant, never per-byte.
-        if self._keep(self.instants):
-            self.instants.append((-1, "decode", f"b{block_id}:{codec}"))
+        self._instant(-1, "decode", block_id, nbytes)
 
     def close(self, execution_cycles: int, total_cycles: int) -> None:
         self.execution_cycles = execution_cycles
@@ -231,6 +254,35 @@ class SpanTracer(Tracer):
     def stall_total(self) -> int:
         """All synchronous stall cycles seen, across kinds."""
         return sum(self.stall_cycles_by_kind.values())
+
+    # -- the event stream ----------------------------------------------
+
+    def events(self, kind: Optional[str] = None) -> List[Instant]:
+        """Recorded instants in order, optionally only those of ``kind``."""
+        if kind is None:
+            return list(self.instants)
+        return [event for event in self.instants if event[1] == kind]
+
+    def render(
+        self,
+        limit: Optional[int] = None,
+        kinds: Optional[Collection[str]] = None,
+    ) -> str:
+        """Printable event trace: the first ``limit`` instants, optionally
+        restricted to ``kinds``."""
+        shown = [
+            event for event in self.instants
+            if kinds is None or event[1] in kinds
+        ]
+        lines = [
+            f"@{at if at >= 0 else '-':>8} {kind:<10} "
+            f"{'B' if kind in BLOCK_INSTANTS else 'U'}{subject}"
+            + (f" ({detail})" if detail else "")
+            for at, kind, subject, detail in shown[:limit]
+        ]
+        if limit is not None and len(shown) > limit:
+            lines.append(f"... ({len(shown) - limit} more)")
+        return "\n".join(lines)
 
 
 class TraceSink:

@@ -1,6 +1,5 @@
-"""Runtime substrate: machine, events, metrics, background threads."""
+"""Runtime substrate: machine, trace replay, metrics, background threads."""
 
-from .events import Event, EventKind, EventLog
 from .machine import BlockOutcome, Machine, MachineError
 from .metrics import Counters, FootprintTimeline, SimulationResult
 from .threads import BackgroundWorker, Job
@@ -10,9 +9,6 @@ __all__ = [
     "BackgroundWorker",
     "BlockOutcome",
     "Counters",
-    "Event",
-    "EventKind",
-    "EventLog",
     "FootprintTimeline",
     "Job",
     "Machine",

@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.cfg import build_cfg
+from repro.core import SimulationConfig
+from repro.core.manager import CodeCompressionManager
 from repro.isa import assemble
+from repro.obs import SpanTracer
+from repro.runtime import PreparedTrace, TraceMachine
 
 #: Small two-loop program mirroring the paper's Figure 1 shape:
 #: entry -> branch -> (left loop | right block) -> join -> back edge.
@@ -91,3 +95,27 @@ fn:
 @pytest.fixture
 def loop_cfg(loop_program):
     return build_cfg(loop_program)
+
+
+
+@pytest.fixture
+def run_traced_manager():
+    """Factory: run ``cfg`` under ``config`` with a :class:`SpanTracer`
+    armed on ``engine`` ("machine" or "trace"); returns ``(manager,
+    result)`` so a test can hold ``manager.tracer`` against the
+    subsystems it observed."""
+
+    def run(cfg, config, engine="machine"):
+        manager = CodeCompressionManager(
+            cfg, config, tracer=SpanTracer(cfg.name)
+        )
+        if engine == "trace":
+            recorded = CodeCompressionManager(
+                cfg, SimulationConfig(decompression="none", codec="null")
+            ).run()
+            manager.machine = TraceMachine(
+                cfg, PreparedTrace.from_result(cfg, recorded)
+            )
+        return manager, manager.run()
+
+    return run

@@ -11,16 +11,15 @@ decompression with k=2 compression:
    decompress B3'
 
 We build exactly that program shape, force that trace, and assert the
-event sequence and counter effects.
+event sequence (read from the armed span tracer, on both engines) and
+counter effects.
 """
 
 import pytest
 
 from repro.cfg import build_cfg
 from repro.core import SimulationConfig
-from repro.core.manager import CodeCompressionManager
 from repro.isa import assemble
-from repro.runtime import EventKind
 
 #: Produces exactly the paper's access pattern B0, B1, B0, B1, B3:
 #: B0 falls through to B1; B1 loops back to B0 once, then falls through
@@ -37,27 +36,58 @@ b3:
     halt
 """
 
+_CONFIG = SimulationConfig(
+    codec="shared-dict",
+    decompression="ondemand",
+    k_compress=2,
+)
+
 
 @pytest.fixture
-def manager():
-    program = assemble(_FIGURE5_SOURCE, "figure5", entry_label="b0")
-    cfg = build_cfg(program)
-    manager = CodeCompressionManager(
-        cfg,
-        SimulationConfig(
-            codec="shared-dict",
-            decompression="ondemand",
-            k_compress=2,
-        ),
+def run_figure5(run_traced_manager):
+    """Run the scenario traced on an engine; returns the manager."""
+    cfg = build_cfg(
+        assemble(_FIGURE5_SOURCE, "figure5", entry_label="b0")
     )
-    manager.run()
-    return manager
+    return lambda engine: run_traced_manager(cfg, _CONFIG, engine)[0]
+
+
+@pytest.fixture
+def manager(run_figure5):
+    return run_figure5("machine")
 
 
 def _ids(manager):
     cfg = manager.cfg
     by_label = {b.label: b.block_id for b in cfg.blocks if b.label}
     return by_label["b0"], by_label["b1"], by_label["b3"]
+
+
+def _subjects(manager, kind):
+    return [subject for _, _, subject, _ in manager.tracer.events(kind)]
+
+
+def _assert_figure5_events(manager):
+    """The paper's event sequence, read from the tracer."""
+    b0, b1, b3 = _ids(manager)
+    tracer = manager.tracer
+    # Steps (2), (4), (9): full faults B0, B1, B3, B0's at cycle 0.
+    assert _subjects(manager, "fault") == [b0, b1, b3]
+    assert tracer.events("fault")[0][0] == 0
+    # Each block decompressed exactly once despite revisits.
+    assert _subjects(manager, "fill") == [b0, b1, b3]
+    # B0 re-entry produced a patch (Figure 5 step 6).
+    assert b0 in _subjects(manager, "patch")
+    # B0' is deleted on the cycle of the fault into B3 (the 2nd edge
+    # after B0's last execution is the edge into B3).
+    recompressions = tracer.events("recompress")
+    assert [subject for _, _, subject, _ in recompressions] == [b0]
+    b3_fault = [e for e in tracer.events("fault") if e[2] == b3][0]
+    assert recompressions[0][0] == b3_fault[0]
+    # Step (7): B0' -> B1' needs no exception; B1 sees exactly one
+    # fault and one patch across both visits.
+    assert _subjects(manager, "fault").count(b1) == 1
+    assert _subjects(manager, "patch").count(b1) == 1
 
 
 class TestFigure5:
@@ -67,50 +97,39 @@ class TestFigure5:
 
     def test_initial_fetch_faults(self, manager):
         b0, _, _ = _ids(manager)
-        first_fault = manager.log.of_kind(EventKind.FAULT)[0]
-        assert first_fault.block_id == b0
-        assert first_fault.cycle == 0
+        at, _, subject, _ = manager.tracer.events("fault")[0]
+        assert subject == b0
+        assert at == 0
 
     def test_fault_sequence(self, manager):
         b0, b1, b3 = _ids(manager)
-        faults = [e.block_id for e in manager.log.of_kind(EventKind.FAULT)]
         # full decompression faults: B0 once, B1 once, B3 once
-        assert faults == [b0, b1, b3]
+        assert _subjects(manager, "fault") == [b0, b1, b3]
 
     def test_reentry_uses_patch_not_decompression(self, manager):
         b0, b1, b3 = _ids(manager)
-        decompressions = [
-            e.block_id
-            for e in manager.log.of_kind(EventKind.DECOMPRESS_DONE)
-        ]
         # each block decompressed exactly once despite revisits
-        assert decompressions == [b0, b1, b3]
+        assert _subjects(manager, "fill") == [b0, b1, b3]
         # B0 re-entry produced a patch event (Figure 5 step 6)
-        patches = [
-            e.block_id for e in manager.log.of_kind(EventKind.PATCH)
-        ]
-        assert b0 in patches
+        assert b0 in _subjects(manager, "patch")
 
     def test_b0_recompressed_when_entering_b3(self, manager):
         b0, _, b3 = _ids(manager)
-        recompressions = manager.log.of_kind(EventKind.RECOMPRESS)
-        assert [e.block_id for e in recompressions] == [b0]
+        recompressions = manager.tracer.events("recompress")
+        assert [subject for _, _, subject, _ in recompressions] == [b0]
         # the deletion happens on the same cycle as the fault into B3
         # (the 2nd edge after B0's last execution is the edge into B3)
         b3_fault = [
-            e for e in manager.log.of_kind(EventKind.FAULT)
-            if e.block_id == b3
+            e for e in manager.tracer.events("fault") if e[2] == b3
         ][0]
-        assert recompressions[0].cycle == b3_fault.cycle
+        assert recompressions[0][0] == b3_fault[0]
 
     def test_second_b1_entry_is_free(self, manager):
         """Figure 5 step (7): B0' -> B1' branch needs no exception."""
         _, b1, _ = _ids(manager)
-        b1_events = manager.log.for_block(b1)
-        kinds = [e.kind for e in b1_events]
-        # exactly one FAULT and one PATCH for B1 across both visits
-        assert kinds.count(EventKind.FAULT) == 1
-        assert kinds.count(EventKind.PATCH) == 1
+        # exactly one fault and one patch for B1 across both visits
+        assert _subjects(manager, "fault").count(b1) == 1
+        assert _subjects(manager, "patch").count(b1) == 1
 
     def test_footprint_returns_toward_minimum(self, manager):
         # after B0' is deleted, footprint = compressed + B1' + B3'
@@ -132,3 +151,18 @@ class TestFigure5:
         fresh = type(image)(manager.cfg, manager.codec)
         assert [b.compressed_addr for b in image.blocks] == \
             [b.compressed_addr for b in fresh.blocks]
+
+
+class TestFigure5BothEngines:
+    @pytest.mark.parametrize("engine", ["machine", "trace"])
+    def test_event_sequence(self, run_figure5, engine):
+        _assert_figure5_events(run_figure5(engine))
+
+    def test_engines_emit_the_same_stream(self, run_figure5):
+        streams = [
+            run_figure5(engine).tracer.render(
+                kinds=("fault", "fill", "patch", "recompress")
+            )
+            for engine in ("machine", "trace")
+        ]
+        assert streams[0] == streams[1]

@@ -13,7 +13,9 @@ import os
 import pytest
 
 from repro import api
+from repro.cfg import build_cfg
 from repro.obs import STALL_KINDS, TraceSink, tracing_scope
+from repro.workloads import get_workload
 
 WORKLOADS = ("fib", "gcd")
 
@@ -99,17 +101,54 @@ class TestStoreFingerprintIdentity:
         assert self._cells(root) == before
 
 
+def _assert_events_match_counters(manager, result):
+    """The tracer's event counts equal the simulator's own counters:
+    full faults plus patch-only faults are every fault, and a cancel is
+    recorded only when a pending decompression job was dropped."""
+    tracer = manager.tracer
+    assert (
+        tracer.counts["faults"] + tracer.stall_events["patch"]
+        == result.counters.faults
+    )
+    assert tracer.counts["cancels"] == (
+        manager.decompress_worker.jobs_cancelled
+    )
+    assert tracer.counts["fills"] == result.counters.decompressions
+    assert tracer.counts["releases"] == result.counters.recompressions
+
+
 class TestPhaseBreakdownCorrectness:
     @pytest.mark.parametrize("engine", api.available_engines())
     @pytest.mark.parametrize("config", CONFIGS, ids=["ondemand", "kc1"])
-    def test_tracer_totals_equal_counters(self, engine, config):
-        result, tracer = api.run_traced("fib", config, engine=engine)
+    def test_tracer_totals_equal_counters(
+        self, run_traced_manager, engine, config
+    ):
+        cfg = build_cfg(get_workload("fib").program)
+        manager, result = run_traced_manager(cfg, config, engine)
+        tracer = manager.tracer
         phases = tracer.phases()
         assert phases["execute"] == result.execution_cycles
         stall_sum = sum(phases[f"stall_{k}"] for k in STALL_KINDS)
         assert stall_sum == result.counters.stall_cycles
         assert phases["execute"] + stall_sum == result.total_cycles
         assert result.phases == phases
+        _assert_events_match_counters(manager, result)
+
+    @pytest.mark.parametrize("engine", api.available_engines())
+    @pytest.mark.parametrize("workload", ["fib", "crc32", "composite"])
+    @pytest.mark.parametrize(
+        "decompression", ["ondemand", "pre-single", "pre-all"]
+    )
+    def test_tracer_events_equal_counters_across_policies(
+        self, run_traced_manager, engine, workload, decompression
+    ):
+        cfg = build_cfg(get_workload(workload).program)
+        config = api.SimulationConfig(
+            codec="shared-dict", decompression=decompression
+        )
+        _assert_events_match_counters(
+            *run_traced_manager(cfg, config, engine)
+        )
 
     def test_phases_identical_across_engines(self):
         breakdowns = [

@@ -178,6 +178,21 @@ class TestMalformedRequests:
     def test_answered_with_status(self, server, head, status):
         assert _status(_raw_exchange(server, head)) == status
 
+    @pytest.mark.parametrize("body", [
+        {"workloads": "fib", "jobs": "2"},
+        {"workloads": 5},
+        {"workloads": "fib", "base": {"fault_cycles": "a"}},
+    ], ids=["jobs-str", "workloads-int", "base-field-str"])
+    def test_wrong_typed_spec_answered_400(self, server, body):
+        payload = json.dumps(body).encode("utf-8")
+        head = (
+            b"POST /jobs HTTP/1.1\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(payload)
+        ) + payload
+        reply = _raw_exchange(server, head)
+        assert _status(reply) == 400
+        assert b"spec field" in reply or b"invalid config" in reply
+
     @pytest.mark.parametrize("head", [
         b"POST /jobs HTTP/1.1\r\nHost: x\r\n",
         b"POST /jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{",

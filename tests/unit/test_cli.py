@@ -323,6 +323,18 @@ class TestExp:
         assert main(["exp", "--spec", path]) == 2
         assert "axes operator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", [
+        {"workloads": "fib", "jobs": "2"},
+        {"workloads": 5},
+        {"workloads": "fib", "base": {"fault_cycles": "a"}},
+    ])
+    def test_exp_wrong_typed_spec_is_an_error_not_a_traceback(
+        self, capsys, tmp_path, spec
+    ):
+        path = self._write_spec(tmp_path, spec)
+        assert main(["exp", "--spec", path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_exp_raising_cells_exit_nonzero_and_are_named(
         self, capsys, tmp_path
     ):

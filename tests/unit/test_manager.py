@@ -12,7 +12,7 @@ from repro.cfg import build_cfg
 from repro.core import SimulationConfig
 from repro.core.manager import CodeCompressionManager
 from repro.isa import assemble
-from repro.runtime import EventKind
+from repro.obs import SpanTracer
 from repro.workloads import get_workload
 
 _FAST = dict(trace_events=False, record_trace=False)
@@ -44,7 +44,7 @@ class TestFaultAccounting:
         manager = CodeCompressionManager(
             straight_cfg,
             SimulationConfig(decompression="ondemand", k_compress=None,
-                             fault_cycles=50, trace_events=True),
+                             fault_cycles=50),
         )
         result = manager.run()
         # every block faults exactly once; stalls = 3 * (50 + latency_i)
@@ -74,7 +74,7 @@ class TestFaultAccounting:
         manager = CodeCompressionManager(
             loop_cfg,
             SimulationConfig(decompression="ondemand", k_compress=None,
-                             fault_cycles=50, trace_events=True),
+                             fault_cycles=50),
         )
         result = manager.run()
         # faults include patch-only re-entries; decompressions happen
@@ -99,22 +99,21 @@ loop:
                 "selfloop",
             )
         )
+        tracer = SpanTracer()
         manager = CodeCompressionManager(
             cfg,
-            SimulationConfig(decompression="ondemand", k_compress=None,
-                             trace_events=True),
+            SimulationConfig(decompression="ondemand", k_compress=None),
+            tracer=tracer,
         )
         result = manager.run()
         loop_id = next(
             b.block_id for b in cfg.blocks if b.label == "loop"
         )
         loop_faults = [
-            e for e in manager.log.of_kind(EventKind.FAULT)
-            if e.block_id == loop_id
+            e for e in tracer.events("fault") if e[2] == loop_id
         ]
         loop_patches = [
-            e for e in manager.log.of_kind(EventKind.PATCH)
-            if e.block_id == loop_id
+            e for e in tracer.events("patch") if e[2] == loop_id
         ]
         assert len(loop_faults) == 1      # first entry only
         # two incoming edges (fallthrough from main, the back edge) are

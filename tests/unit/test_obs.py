@@ -30,6 +30,8 @@ class TestNullTracer:
     def test_disabled_and_inert(self):
         assert NULL_TRACER.enabled is False
         # Every hook is a no-op on the null object.
+        NULL_TRACER.fault(0, 1)
+        NULL_TRACER.patch(0, 1)
         NULL_TRACER.stall(0, 5, "decompress", True)
         NULL_TRACER.worker_job("decompression", 1, 0, 0, 10)
         NULL_TRACER.worker_cancel(3, "decompression", 1)
@@ -92,6 +94,63 @@ class TestSpanTracerArithmetic:
         assert tracer.phases()["stall_decompress"] == 15
 
 
+class TestSpanTracerEvents:
+    """The typed instant stream: hooks in, ``events``/``render`` out."""
+
+    def _traced(self):
+        tracer = SpanTracer("hand")
+        tracer.fault(0, 2)
+        tracer.fill(0, 2, 31)
+        tracer.patch(81, 2)
+        tracer.release(90, 2, "recompress", 1)
+        tracer.decode(2, "huffman", 12)
+        return tracer
+
+    def test_instants_are_typed_tuples(self):
+        assert self._traced().instants == [
+            (0, "fault", 2, 0),
+            (0, "fill", 2, 31),
+            (81, "patch", 2, 0),
+            (90, "recompress", 2, 1),
+            (-1, "decode", 2, 12),
+        ]
+
+    def test_events_query_by_kind(self):
+        tracer = self._traced()
+        assert tracer.events("fault") == [(0, "fault", 2, 0)]
+        assert tracer.events("evict") == []
+        assert tracer.events() == tracer.instants
+        assert tracer.counts["faults"] == 1
+        assert tracer.counts["patches"] == 1
+
+    def test_render(self):
+        text = self._traced().render()
+        assert "@       0 fault      B2" in text
+        assert "U2 (31)" in text
+        assert "@       - decode     B2 (12)" in text
+
+    def test_render_limit(self):
+        tracer = SpanTracer("many")
+        for at in range(10):
+            tracer.fault(at, at)
+        text = tracer.render(limit=3)
+        assert text.count("fault") == 3
+        assert "7 more" in text
+
+    def test_render_kinds_filter(self):
+        text = self._traced().render(kinds=("patch", "recompress"))
+        assert text.splitlines() == [
+            "@      81 patch      B2",
+            "@      90 recompress U2 (1)",
+        ]
+
+    def test_keep_spans_false_counts_without_instants(self):
+        tracer = SpanTracer("lean", keep_spans=False)
+        tracer.fault(0, 1)
+        assert tracer.counts["faults"] == 1
+        assert tracer.instants == []
+
+
 class TestTracingScope:
     def test_scope_arms_and_restores(self):
         sink = TraceSink()
@@ -137,6 +196,19 @@ class TestChromeTrace:
         assert doc["metadata"]["phases"] == tracer.phases()
         kinds = {e["ph"] for e in doc["traceEvents"]}
         assert "X" in kinds and "M" in kinds
+
+    def test_instants_export_subject_and_detail(self):
+        tracer = self._tracer()
+        instants = [
+            e for e in chrome_trace(tracer)["traceEvents"]
+            if e["ph"] == "i"
+        ]
+        assert [
+            (e["ts"], e["name"], e["args"]["subject"], e["args"]["detail"])
+            for e in instants
+        ] == [(max(at, 0), kind, subject, detail)
+              for at, kind, subject, detail in tracer.instants]
+        assert any(e["name"] == "fault" for e in instants)
 
     def test_trace_label_overrides_program(self):
         tracer = self._tracer()

@@ -13,8 +13,6 @@ from repro.cfg import build_cfg
 from repro.core import SimulationConfig, TimingModel
 from repro.core.residency import ResidencySubsystem
 from repro.isa import assemble
-from repro.runtime import EventKind
-from repro.runtime.events import EventLog
 from repro.runtime.metrics import Counters
 
 _FAST = dict(trace_events=False, record_trace=False)
@@ -47,9 +45,7 @@ def _subsystem(cfg, **config_kwargs):
     )
     counters = Counters()
     timing = TimingModel(config, counters)
-    residency = ResidencySubsystem(
-        cfg, config, timing, counters, EventLog(enabled=False)
-    )
+    residency = ResidencySubsystem(cfg, config, timing, counters)
     return residency, timing, counters
 
 
@@ -60,7 +56,7 @@ class TestEvictionVsInFlightPredecompression:
         assert residency.is_unit_resident(0)
         assert timing.decompress_worker.backlog() == 1
 
-        residency.release_unit(0, EventKind.EVICT)
+        residency.release_unit(0, "evict")
         assert not residency.is_unit_resident(0)
         assert timing.decompress_worker.backlog() == 0
         assert timing.decompress_worker.jobs_cancelled == 1
@@ -72,19 +68,19 @@ class TestEvictionVsInFlightPredecompression:
     ):
         residency, timing, counters = _subsystem(straight_cfg)
         residency.schedule_predecompression(0, protected=set())
-        residency.release_unit(0, EventKind.EVICT)
+        residency.release_unit(0, "evict")
         assert counters.wasted_decompressions == 1
 
         # A second (buggy/duplicate) release of the same unit must not
         # double-count: the used-flag was popped on the first release.
-        residency.release_unit(0, EventKind.EVICT)
+        residency.release_unit(0, "evict")
         assert counters.wasted_decompressions == 1
 
     def test_used_unit_is_never_wasted(self, straight_cfg):
         residency, timing, counters = _subsystem(straight_cfg)
         residency.schedule_predecompression(0, protected=set())
         residency.mark_used(0)
-        residency.release_unit(0, EventKind.EVICT)
+        residency.release_unit(0, "evict")
         assert counters.wasted_decompressions == 0
 
     def test_mid_flight_cancellation_refunds_remainder_only(
@@ -98,7 +94,7 @@ class TestEvictionVsInFlightPredecompression:
         # Let the job run for one cycle, then evict: the worker keeps
         # only the elapsed service time.
         timing.now = job.started_at + 1
-        residency.release_unit(0, EventKind.EVICT)
+        residency.release_unit(0, "evict")
         assert timing.decompress_worker.busy_cycles == 1
 
     def test_budget_eviction_of_inflight_unit(self, straight_cfg):
@@ -115,7 +111,6 @@ class TestEvictionVsInFlightPredecompression:
                              **_FAST),
             TimingModel(SimulationConfig(**_FAST), Counters()),
             Counters(),
-            EventLog(enabled=False),
         ).image.compressed_image_size
         # Room for exactly one decompressed unit above the image.
         residency, timing, counters = _subsystem(
@@ -137,7 +132,7 @@ class TestEvictionVsInFlightPredecompression:
     def test_evicted_unit_can_be_rescheduled(self, straight_cfg):
         residency, timing, counters = _subsystem(straight_cfg)
         residency.schedule_predecompression(0, protected=set())
-        residency.release_unit(0, EventKind.EVICT)
+        residency.release_unit(0, "evict")
         residency.schedule_predecompression(0, protected=set())
         assert residency.is_unit_resident(0)
         assert counters.decompressions == 2

@@ -1,51 +1,16 @@
-"""Unit tests for events, metrics, and background-thread timelines."""
+"""Unit tests for metrics and background-thread timelines.
+
+The simulator's event stream is the obs tracer; its tests live in
+``tests/unit/test_obs.py``.
+"""
 
 import pytest
 
 from repro.runtime import (
     BackgroundWorker,
     Counters,
-    EventKind,
-    EventLog,
     FootprintTimeline,
 )
-
-
-class TestEventLog:
-    def test_emit_and_query(self):
-        log = EventLog()
-        log.emit(0, EventKind.BLOCK_ENTER, 1)
-        log.emit(5, EventKind.FAULT, 2)
-        log.emit(9, EventKind.BLOCK_ENTER, 2)
-        assert len(log) == 3
-        assert log.block_sequence() == [1, 2]
-        assert [e.block_id for e in log.of_kind(EventKind.FAULT)] == [2]
-        assert len(log.for_block(2)) == 2
-
-    def test_disabled_log_drops_events(self):
-        log = EventLog(enabled=False)
-        log.emit(0, EventKind.FAULT, 1)
-        assert len(log) == 0
-
-    def test_capacity_cap(self):
-        log = EventLog(capacity=2)
-        for i in range(5):
-            log.emit(i, EventKind.BLOCK_ENTER, i)
-        assert len(log) == 2
-        assert log.dropped == 3
-
-    def test_render(self):
-        log = EventLog()
-        log.emit(3, EventKind.STALL, 7, detail=12)
-        text = log.render()
-        assert "stall" in text and "B7" in text and "12" in text
-
-    def test_render_limit(self):
-        log = EventLog()
-        for i in range(10):
-            log.emit(i, EventKind.BLOCK_ENTER, i)
-        text = log.render(limit=3)
-        assert "7 more" in text
 
 
 class TestFootprintTimeline:
