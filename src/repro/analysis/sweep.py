@@ -16,8 +16,8 @@ Engines live in the :data:`ENGINES` registry; two are built in:
   uncompressed baseline config (``decompression="none"``), then **every**
   grid cell replays it through
   :func:`~repro.runtime.trace_sim.simulate_trace` — replays inside the
-  batched kernel's envelope (:mod:`repro.core.replay`) fast-forward whole
-  resident runs in bulk.  The recording itself is not a grid cell; its
+  batched kernel's envelope (:mod:`repro.core.replay`) run as one flat
+  loop instead of the layered per-block path.  The recording itself is not a grid cell; its
   result is discarded (only the trace and the oracle validation survive,
   cached per CFG so repeated sweeps over the same workload objects never
   re-record).  Compressed payloads are shared across cells via the

@@ -2,30 +2,31 @@
 
 Replaying a recorded block trace through the layered
 manager/timing/residency stack costs ~80 Python calls per block even
-though the per-step work is a handful of integer/dict operations: tick
-the k-edge counters, check the destination unit's residency, charge
-cycles, and occasionally materialise or release a unit.  For sweep
-replays — thousands of blocks times dozens of grid cells — that call
-overhead dominates the whole experiment pipeline.
+though the per-step work is a handful of integer/dict operations.  For
+sweep replays — thousands of blocks times dozens of grid cells — that
+call overhead dominates the whole experiment pipeline.
 
-This module flattens the replay into a single loop over the
-:class:`~repro.runtime.trace_sim.ReplayPlan` arrays with all hot state
-in locals, and layers a window fast-forward on top: the plan
-pre-aggregates fixed 32-step windows (cycle/step sums, distinct edges,
-per-unit k-edge counter deltas), and whenever the current residency and
-remember-set state proves the window cannot fault, release, or patch,
-the whole window is charged in O(resident units) operations instead of
-32 per-block iterations.
+This module runs the same per-branch state machine as one flat loop
+over the trace, with all hot state in locals.  Each step enters a
+block (resetting its unit's k-edge counter), ticks the counters of
+every other resident unit and recompresses the units that expire
+(releasing their patches on the background compression thread), then
+makes the next block executable: a full fault decompresses its unit,
+a patch fault re-aims a branch that still targets the compressed area.
 
-Exactness is the contract: the kernel replicates the per-block path's
+Exactness is the contract: the loop replicates the per-block path's
 operation order bit for bit (fault charging, footprint sample points,
 remember-set mutations, compress-worker FIFO arithmetic) and settles
 shared subsystem state on exit via the ``absorb_*`` hooks on the
 timing model, the background worker, and the code image.  The
-trace/machine equivalence suite pins this; anything outside the
-kernel's envelope (pre-decompression policies, memory budgets, bounded
-or in-place images, armed tracers, injected policy objects) simply
-declines to engage and runs on the layered path unchanged.
+trace/machine equivalence suite pins this.
+
+The envelope is on-demand decompression, k-edge or never-recompress
+compression, no memory budget, an unbounded separate-area image, and
+the tracer off.  Anything else (pre-decompression policies, the
+uncompressed baseline, budgets, bounded or in-place images, armed
+tracers, injected policy objects) declines to engage and runs on the
+layered per-block path unchanged.
 """
 
 from __future__ import annotations
@@ -82,12 +83,10 @@ def try_batched_replay(manager: "CodeCompressionManager") -> bool:
         return False
     if timing.compress_worker.backlog():
         return False
-    if residency.image is None:
-        _replay_uncompressed(manager, prepared, k)
-        return True
-    # Compressed mode: only the paper's separate-area scheme with an
-    # unbounded decompressed area (allocation can never fail, and the
-    # footprint is a pure sum of aligned block sizes).
+    # Only the paper's separate-area scheme with an unbounded
+    # decompressed area (allocation can never fail, and the
+    # footprint is a pure sum of aligned block sizes).  The
+    # uncompressed baseline has no image and declines here too.
     from ..memory.image import SeparateAreaImage
 
     image = residency.image
@@ -99,60 +98,6 @@ def try_batched_replay(manager: "CodeCompressionManager") -> bool:
     return True
 
 
-def _replay_uncompressed(manager, prepared, k) -> None:
-    """Uncompressed baseline (``decompression="none"``): no image, no
-    faults, no releases — the whole replay reduces to aggregate sums."""
-    residency = manager.residency
-    config = manager.config
-    plan = prepared.plan(config.granularity, residency._unit_of)
-    trace = plan.trace
-    n = len(trace)
-    read_bytes, read_cycles = prepared.entry_charges(
-        config.hierarchy, residency.hierarchy
-    )
-    visits = plan.block_visits
-    bytes_total = 0
-    stall_total = 0
-    for block_id, count in visits.items():
-        bytes_total += read_bytes[block_id] * count
-        stall_total += read_cycles[block_id] * count
-
-    counters = manager.counters
-    counters.blocks_executed += n
-    counters.target_memory_bytes += bytes_total
-    counters.target_memory_accesses += n
-
-    used_since = residency._used_since_decompress
-    kcount = (
-        manager.compression._counters if k is not None else None
-    )
-    for unit_id in plan.entered_units:
-        used_since[unit_id] = True
-        if kcount is not None:
-            # No unit is ever resident, so the edge loop never
-            # increments: every entered unit ends reset at zero.
-            kcount[unit_id] = 0
-
-    profile = manager.profile
-    for (src, dst), count in plan.edge_items:
-        profile.record_edge(src, dst, count)
-
-    timing = manager.timing
-    timing.absorb_replay(
-        timing.now + plan.total_cycles + stall_total,
-        plan.total_cycles,
-        stall_total,
-        0,
-    )
-    machine = manager.machine
-    machine.steps += plan.total_instructions
-    machine.position = n
-    machine.halted = True
-    manager._blocks_entered += n
-    if n >= 2:
-        manager._current_block = trace[n - 2]
-
-
 def _replay_compressed(manager, prepared, k) -> None:
     """On-demand decompression over a separate-area image: the full
     fault/release/patch state machine, flattened."""
@@ -161,18 +106,12 @@ def _replay_compressed(manager, prepared, k) -> None:
     config = manager.config
     image = residency.image
     plan = prepared.plan(config.granularity, residency._unit_of)
-    trace = plan.trace
+    trace = prepared.trace
     usteps = plan.unit_steps
-    cycles = plan.cycles
+    cycles = prepared.cycles
     sites = plan.sites
     n = len(trace)
     geometry = residency.replay_geometry()
-
-    windows = plan.windows
-    nwin = len(windows)
-    width = plan.window_size
-    wmask = width - 1
-    wshift = width.bit_length() - 1
 
     kcount = manager.compression._counters if k is not None else None
     ready = residency._ready_at
@@ -219,55 +158,6 @@ def _replay_compressed(manager, prepared, k) -> None:
 
     pos = 0
     while True:
-        # ---- window fast-forward --------------------------------
-        if nwin and not (pos & wmask):
-            wi = pos >> wshift
-            while wi < nwin:
-                win = windows[wi]
-                wunits = win[2]
-                ok = True
-                for uu in wunits:
-                    if uu not in ready:
-                        ok = False
-                        break
-                if ok:
-                    for (es, ed), _count in win[4]:
-                        if site_target.get(sites[es]) != ed:
-                            ok = False
-                            break
-                if ok and k is not None:
-                    heads = win[6]
-                    maxgaps = win[7]
-                    dstc = win[5]
-                    for ru in ready:
-                        if ru in heads:
-                            if (
-                                kcount[ru] + heads[ru] >= k
-                                or maxgaps[ru] >= k
-                            ):
-                                ok = False
-                                break
-                        elif kcount[ru] + width - dstc.get(ru, 0) >= k:
-                            ok = False
-                            break
-                if not ok:
-                    break
-                now += win[0]
-                for uu in win[3]:
-                    used_since[uu] = True
-                if k is not None:
-                    tails = win[8]
-                    dstc = win[5]
-                    for ru in ready:
-                        if ru in tails:
-                            kcount[ru] = tails[ru]
-                        else:
-                            kcount[ru] += width - dstc.get(ru, 0)
-                for edge, count in win[4]:
-                    ec[edge] = ec.get(edge, 0) + count
-                pos += width
-                wi += 1
-
         # ---- one per-block step ---------------------------------
         b = trace[pos]
         u = usteps[pos]

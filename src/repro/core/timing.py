@@ -136,7 +136,7 @@ class TimingModel:
         return self.decompress_worker.backlog()
 
     # ------------------------------------------------------------------
-    # Bulk fast-forward (batched trace replay)
+    # Bulk settlement (batched trace replay)
     # ------------------------------------------------------------------
 
     def absorb_replay(

@@ -105,6 +105,41 @@ def job_key(spec: ExperimentSpec) -> str:
     ).hexdigest()
 
 
+def _well_formed(entry: Dict[str, Any], stem: str) -> bool:
+    """Whether a journal entry has the shape :meth:`Job.to_journal`
+    writes, so resuming it cannot raise.
+
+    The id must also name the entry's own file: a resumed job rewrites
+    its journal under ``<id>.json``, so any other id would write
+    somewhere else.
+    """
+    def number(value: Any) -> bool:
+        return isinstance(value, (int, float)) and not isinstance(
+            value, bool
+        )
+
+    progress = entry.get("progress", {})
+    error_rows = entry.get("error_rows", [])
+    return (
+        entry.get("id") == stem
+        and isinstance(entry.get("seq"), int)
+        and not isinstance(entry["seq"], bool)
+        and isinstance(entry.get("state"), str)
+        and isinstance(entry.get("key", ""), str)
+        and number(entry.get("created", 0))
+        and (entry.get("finished") is None
+             or number(entry["finished"]))
+        and isinstance(progress, dict)
+        and all(
+            isinstance(name, str) and isinstance(count, int)
+            and not isinstance(count, bool)
+            for name, count in progress.items()
+        )
+        and isinstance(error_rows, list)
+        and all(isinstance(row, dict) for row in error_rows)
+    )
+
+
 def _dedupable(job: "Job") -> bool:
     """Whether a later identical submission may be served by ``job``."""
     if job.state == "failed":
@@ -250,7 +285,11 @@ class JobManager:
         self._artifacts = artifact_scope(self.store)
         self._artifacts.__enter__()
         if resume:
-            self._resume_journal()
+            try:
+                self._resume_journal()
+            except BaseException:
+                self._artifacts.__exit__(None, None, None)
+                raise
         self._threads = [
             threading.Thread(target=self._worker, daemon=True,
                              name=f"repro-service-worker-{i}")
@@ -379,28 +418,35 @@ class JobManager:
                     entry = json.load(handle)
             except (OSError, ValueError):
                 continue
-            if (
+            if not (
                 isinstance(entry, dict)
                 and entry.get("version") == JOURNAL_VERSION
             ):
-                entries.append(entry)
-        entries.sort(key=lambda e: e.get("seq", 0))
+                continue
+            if not _well_formed(entry, name[:-len(".json")]):
+                _log.warning(kv(
+                    "service.journal_skip", file=name,
+                    reason="malformed_entry",
+                ))
+                continue
+            entries.append(entry)
+        entries.sort(key=lambda e: e["seq"])
         top_seq = 0
         for entry in entries:
             try:
                 spec = ExperimentSpec.from_dict(entry["spec"])
             except (KeyError, SpecError):
                 _log.warning(kv(
-                    "service.journal_skip", id=entry.get("id"),
+                    "service.journal_skip", id=entry["id"],
                     reason="spec_no_longer_loads",
                 ))
                 continue
             key = entry.get("key") or job_key(spec)
-            seq = int(entry.get("seq", 0))
+            seq = entry["seq"]
             top_seq = max(top_seq, seq)
             job = Job(entry["id"], spec, key, seq)
             job.created = entry.get("created", job.created)
-            if entry.get("state") == "done":
+            if entry["state"] == "done":
                 job.state = "done"
                 job.finished = entry.get("finished")
                 job.progress.update(entry.get("progress", {}))

@@ -14,10 +14,11 @@ import pytest
 from repro.analysis import sweep
 from repro.cfg import build_cfg
 from repro.core import SimulationConfig
+from repro.core import manager as manager_module
 from repro.core.manager import CodeCompressionManager
 from repro.runtime import PreparedTrace, simulate_trace
 from repro.strategies import RecencyWindowCompression
-from repro.workloads import get_workload
+from repro.workloads import full_suite, get_workload
 
 _FAST = dict(trace_events=False, record_trace=False)
 
@@ -27,12 +28,15 @@ _WORKLOADS = ("composite", "cold_paths", "fsm", "gcd")
 
 _CONFIGS = [
     SimulationConfig(decompression="ondemand", k_compress=1),
+    SimulationConfig(decompression="ondemand", k_compress=2),
+    SimulationConfig(decompression="ondemand", k_compress=4),
     SimulationConfig(decompression="ondemand", k_compress=8),
     SimulationConfig(decompression="ondemand", k_compress=None),
     SimulationConfig(decompression="pre-all", k_compress=8,
                      k_decompress=2),
     SimulationConfig(decompression="pre-single", k_compress=8,
                      k_decompress=2),
+    SimulationConfig(decompression="none"),
 ]
 
 _METRICS = (
@@ -99,3 +103,54 @@ class TestSweepEngineEquivalence:
             _assert_results_equal(
                 interpreted, replayed, f"window={window}"
             )
+
+
+#: The paper's k grid (the benchmark's too).
+_K_VALUES = (1, 2, 4, 8, None)
+
+
+def _batched_decisions(monkeypatch, workloads, policies):
+    """Sweep ``workloads`` x ``policies`` x k on the trace engine and
+    return ``(decompression, k, accepted)`` per replayed cell, as the
+    manager's call to the batched kernel answered it."""
+    decisions = []
+    original = manager_module.try_batched_replay
+
+    def spy(manager):
+        accepted = original(manager)
+        if manager.machine.engine_name == "trace":
+            config = manager.config
+            decisions.append(
+                (config.decompression, config.k_compress, accepted)
+            )
+        return accepted
+
+    monkeypatch.setattr(manager_module, "try_batched_replay", spy)
+    configs = [
+        SimulationConfig(decompression=policy, k_compress=k, **_FAST)
+        for policy in policies for k in _K_VALUES
+    ]
+    result = sweep(workloads, configs, engine="trace")
+    assert all(run.ok for run in result.runs)
+    assert len(decisions) == len(result.runs)
+    return decisions
+
+
+class TestBatchedKernelEnvelope:
+    def test_every_ondemand_suite_cell_is_batched(self, monkeypatch):
+        decisions = _batched_decisions(
+            monkeypatch, full_suite(), ("ondemand",)
+        )
+        assert len(decisions) == 75
+        assert [d for d in decisions if not d[2]] == []
+
+    def test_other_policies_run_the_per_block_path(self, monkeypatch):
+        # The cheaper kernels: pre-decompression cells are the slow
+        # per-block path this test is about.
+        workloads = [get_workload(name)
+                     for name in ("cold_paths", "fsm", "gcd")]
+        decisions = _batched_decisions(
+            monkeypatch, workloads, ("none", "pre-single", "pre-all")
+        )
+        assert len(decisions) == len(workloads) * 3 * len(_K_VALUES)
+        assert [d for d in decisions if d[2]] == []

@@ -8,6 +8,7 @@ on a full queue, the resumable journal, and snapshot shapes.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 import time
@@ -15,6 +16,7 @@ import time
 import pytest
 
 from repro import api
+from repro.log import parse_kv
 from repro.service import JobManager, QueueFullError, job_key
 from repro.service.jobs import JOURNAL_VERSION
 
@@ -227,6 +229,73 @@ class TestJournal:
             _wait_state(job, "done")
         finally:
             manager.shutdown()
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"id": None}, id="missing-id"),
+        pytest.param({"id": 7}, id="int-id"),
+        pytest.param({"id": "j9-elsewhere"}, id="id-of-another-file"),
+        pytest.param({"seq": "x"}, id="str-seq"),
+        pytest.param({"seq": "2"}, id="str-seq-beside-int-seq"),
+        pytest.param({"progress": [1, 2]}, id="list-progress"),
+        pytest.param({"error_rows": 5}, id="int-error-rows"),
+        pytest.param({"created": "monday"}, id="str-created"),
+    ])
+    def test_malformed_entries_are_skipped_not_fatal(
+        self, tmp_path, caplog, bad
+    ):
+        dead = JobManager(store=str(tmp_path), workers=1, resume=False)
+        dead.shutdown()
+        spec = _spec()
+        os.makedirs(dead.journal_dir, exist_ok=True)
+
+        def journal(job_id, **fields):
+            entry = {
+                "version": JOURNAL_VERSION, "id": job_id, "seq": 1,
+                "key": job_key(spec), "state": "done",
+                "spec": spec.to_dict(), "created": 0.0,
+                "finished": 1.0, "progress": {}, "error_rows": [],
+                "error": None,
+            }
+            entry.update(fields)
+            if entry["id"] is None:
+                del entry["id"]
+            path = os.path.join(dead.journal_dir, f"{job_id}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(entry, handle)
+
+        journal("j1-good")
+        journal("j2-bad", **bad)
+        with caplog.at_level(logging.WARNING, logger="repro.service"):
+            manager = JobManager(store=str(tmp_path), workers=1)
+        try:
+            assert [job["id"] for job in manager.list_jobs()] == \
+                ["j1-good"]
+            good = manager.get("j1-good")
+            assert good is not None and good.state == "done"
+            _, deduped = manager.submit(_spec_dict())
+            assert deduped
+        finally:
+            manager.shutdown()
+        events = [parse_kv(r.message) for r in caplog.records]
+        assert {"event": "service.journal_skip", "file": "j2-bad.json",
+                "reason": "malformed_entry"} in events
+
+    def test_failed_resume_restores_the_artifact_provider(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.memory import image
+        from repro.store.executor import ARTIFACTS_ENV
+
+        def unreadable(self):
+            raise OSError("journal directory unreadable")
+
+        monkeypatch.setattr(JobManager, "_resume_journal", unreadable)
+        monkeypatch.delenv(ARTIFACTS_ENV, raising=False)
+        before = image._artifact_provider
+        with pytest.raises(OSError):
+            JobManager(store=str(tmp_path), workers=1)
+        assert image._artifact_provider is before
+        assert ARTIFACTS_ENV not in os.environ
 
     def test_no_resume_ignores_the_journal(self, tmp_path):
         manager = JobManager(store=str(tmp_path), workers=1)
