@@ -164,28 +164,36 @@ def bench_manager_loop(smoke: bool = False) -> Dict[str, object]:
     interpreting machine) on a fixed workload, reporting blocks and
     cycles simulated per wall-clock second — the number that makes a
     manager-loop regression visible PR-over-PR in BENCH_core.json.
+    ``pre-single``/``pre-all`` time the same workload and k under the
+    pre-decompression strategies (recorded numbers, no gate).
     """
     from ..core.manager import CodeCompressionManager
 
     cfg = build_cfg(get_workload("composite").program)
-    config = SimulationConfig(
-        codec="shared-dict", decompression="ondemand", k_compress=4,
-        record_trace=False,
-    )
-    # Warm the shared compression artifacts so the loop, not codec
-    # training, is what gets timed.
-    result = CodeCompressionManager(cfg, config).run()
     repeats = 2 if smoke else 5
-    seconds = _time(
-        lambda: CodeCompressionManager(cfg, config).run(), repeats
-    )
-    blocks = result.counters.blocks_executed
+
+    def measure(decompression: str) -> Dict[str, object]:
+        config = SimulationConfig(
+            codec="shared-dict", decompression=decompression,
+            k_compress=4, record_trace=False,
+        )
+        # Warm the shared compression artifacts so the loop, not codec
+        # training, is what gets timed.
+        result = CodeCompressionManager(cfg, config).run()
+        seconds = _time(
+            lambda: CodeCompressionManager(cfg, config).run(), repeats
+        )
+        blocks = result.counters.blocks_executed
+        return {
+            "blocks_executed": blocks,
+            "total_cycles": result.total_cycles,
+            "seconds": seconds,
+            "blocks_per_s": blocks / seconds if seconds else float("inf"),
+        }
+
     return {
-        "workload": "composite",
-        "blocks_executed": blocks,
-        "total_cycles": result.total_cycles,
-        "seconds": seconds,
-        "blocks_per_s": blocks / seconds if seconds else float("inf"),
+        "workload": "composite", **measure("ondemand"),
+        **{name: measure(name) for name in ("pre-single", "pre-all")},
     }
 
 
@@ -751,6 +759,11 @@ def render_report(report: Dict[str, object]) -> str:
             f"{loop['seconds'] * 1000:.1f} ms "
             f"({loop['blocks_per_s']:,.0f} blocks/s)"
         )
+        for name in ("pre-single", "pre-all"):
+            if name in loop:
+                lines.append(
+                    f"  {name}: {loop[name]['blocks_per_s']:,.0f} blocks/s"
+                )
     chaos = report.get("chaos_overhead")
     if chaos:
         lines.append(

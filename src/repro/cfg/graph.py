@@ -64,6 +64,9 @@ class ControlFlowGraph:
         self._succ: Dict[int, List[Edge]] = {b.block_id: [] for b in blocks}
         self._pred: Dict[int, List[Edge]] = {b.block_id: [] for b in blocks}
         self._edge_set: Set[Tuple[int, int]] = set()
+        # Memoised queries of the per-block loop; add_edge clears them.
+        self._sorted_succ: Dict[int, Tuple[int, ...]] = {}
+        self._hood: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         for edge in edges:
             self.add_edge(edge)
         if not 0 <= entry_id < len(blocks):
@@ -82,6 +85,8 @@ class ControlFlowGraph:
         self._edge_set.add((edge.src, edge.dst))
         self._succ[edge.src].append(edge)
         self._pred[edge.dst].append(edge)
+        self._sorted_succ.clear()
+        self._hood.clear()
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -113,6 +118,13 @@ class ControlFlowGraph:
     def successors(self, block_id: int) -> List[int]:
         """Successor block ids of ``block_id``."""
         return [edge.dst for edge in self._succ[block_id]]
+
+    def sorted_successors(self, block_id: int) -> Tuple[int, ...]:
+        """Successor block ids of ``block_id``, ascending (memoised)."""
+        if block_id not in self._sorted_succ:
+            succs = tuple(sorted(self.successors(block_id)))
+            self._sorted_succ[block_id] = succs
+        return self._sorted_succ[block_id]
 
     def predecessors(self, block_id: int) -> List[int]:
         """Predecessor block ids of ``block_id``."""
@@ -192,6 +204,15 @@ class ControlFlowGraph:
                     hood.add(block_id)
                     break
         return hood
+
+    def sorted_forward_neighbourhood(
+        self, block_id: int, k: int
+    ) -> Tuple[int, ...]:
+        """:meth:`forward_neighbourhood`, ascending (memoised)."""
+        if (block_id, k) not in self._hood:
+            hood = tuple(sorted(self.forward_neighbourhood(block_id, k)))
+            self._hood[(block_id, k)] = hood
+        return self._hood[(block_id, k)]
 
     def backward_neighbourhood(self, block_id: int, k: int) -> Set[int]:
         """Blocks that can reach ``block_id`` in at most k edges."""

@@ -110,13 +110,14 @@ class EdgeProfile:
         self, cfg: ControlFlowGraph, block_id: int
     ) -> Optional[int]:
         """The successor with the highest traversal count (ties: lowest id)."""
-        successors = cfg.successors(block_id)
-        if not successors:
-            return None
-        return max(
-            sorted(successors),
-            key=lambda succ: self.edge_count(block_id, succ),
-        )
+        successors = cfg.sorted_successors(block_id)
+        counts = self.edge_counts
+        best = best_count = None
+        for succ in successors:  # ascending, so ties keep the lowest id
+            count = counts.get((block_id, succ), 0)
+            if best is None or count > best_count:
+                best, best_count = succ, count
+        return best
 
     def most_likely_path(
         self, cfg: ControlFlowGraph, block_id: int, length: int

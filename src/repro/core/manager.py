@@ -35,7 +35,7 @@ decompression) — that is Figure 5's steps (5)-(6).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Set, Tuple
+from typing import AbstractSet, Deque, List, Optional, Set, Tuple
 
 from ..cfg.builder import ProgramCFG
 from ..cfg.profile import EdgeProfile
@@ -60,6 +60,8 @@ from .timing import TimingModel
 #: millions of entries; metrics never need more than this).  Runs that
 #: hit the cap are flagged via ``SimulationResult.trace_truncated``.
 _TRACE_CAP = 2_000_000
+
+_UNPROTECTED: AbstractSet[int] = frozenset()
 
 
 class CodeCompressionManager:
@@ -264,7 +266,7 @@ class CodeCompressionManager:
         """Blocks belonging to ``unit_id``."""
         return self.residency.unit_blocks(unit_id)
 
-    def resident_units(self) -> Set[int]:
+    def resident_units(self) -> AbstractSet[int]:
         """Units currently holding (or receiving) a decompressed copy."""
         return self.residency.resident_units()
 
@@ -283,9 +285,10 @@ class CodeCompressionManager:
     # Fault handling (the Section 5 exception handler)
     # ==================================================================
 
-    def _protected_units(self) -> Set[int]:
-        if self._current_block is None:
-            return set()
+    def _protected_units(self) -> AbstractSet[int]:
+        """Units budget eviction must spare (never mutated)."""
+        if self.residency.budget is None or self._current_block is None:
+            return _UNPROTECTED
         return {self.unit_of(self._current_block)}
 
     def _ensure_executable(
@@ -322,12 +325,13 @@ class CodeCompressionManager:
             self.counters.faults += 1
             if tracer.enabled:
                 tracer.fault(timing.now, block_id)
-            residency.enforce_budget(
-                unit_id,
-                protected=self._protected_units()
-                | ({residency.unit_of(came_from)}
-                   if came_from is not None else set()),
-            )
+            if residency.budget is not None:
+                residency.enforce_budget(
+                    unit_id,
+                    protected=self._protected_units()
+                    | ({residency.unit_of(came_from)}
+                       if came_from is not None else set()),
+                )
             residency.materialise_unit(unit_id)
             residency.sample_footprint()
             stall = (
@@ -383,12 +387,11 @@ class CodeCompressionManager:
 
         # Pre-decompression may warm blocks before execution starts.
         if residency.image is not None and self.decompression.uses_thread:
+            protected = self._protected_units()
             for block_id in self.decompression.on_program_start(
                 entry.block_id
             ):
-                residency.schedule_predecompression(
-                    block_id, protected=self._protected_units()
-                )
+                residency.schedule_predecompression(block_id, protected)
 
         self._ensure_executable(entry.block_id, came_from=None)
         current = entry
@@ -531,7 +534,6 @@ class CodeCompressionManager:
                     (choice,
                      self._blocks_entered + self.config.k_decompress + 1)
                 )
+            protected = self._protected_units()
             for block_id in targets:
-                residency.schedule_predecompression(
-                    block_id, protected=self._protected_units()
-                )
+                residency.schedule_predecompression(block_id, protected)

@@ -36,7 +36,7 @@ geometry queries through the existing
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set
+from typing import AbstractSet, Callable, Dict, Optional, Set, Tuple
 
 from ..cfg.builder import ProgramCFG
 from ..compress.codec import get_codec
@@ -88,8 +88,10 @@ class ResidencySubsystem:
         # ---- compression units -------------------------------------
         unit_of, unit_blocks = unit_map(cfg, config.granularity)
         self._unit_of: Dict[int, int] = unit_of
-        self._unit_blocks: Dict[int, Set[int]] = {
-            unit: set(blocks) for unit, blocks in unit_blocks.items()
+        # Blocks are always visited in ascending order; sort them once.
+        self._unit_blocks: Dict[int, Tuple[int, ...]] = {
+            unit: tuple(sorted(blocks))
+            for unit, blocks in unit_blocks.items()
         }
 
         # ---- image and shared artifacts ----------------------------
@@ -133,34 +135,36 @@ class ResidencySubsystem:
 
         # ---- residency bookkeeping ---------------------------------
         self.remember = RememberSets()
-        # Unit geometry is immutable; sizes/latencies memoize on first
-        # use.  A block's terminator branch site never changes either.
+        # Unit geometry is immutable; sizes memoize on first use.  A
+        # block's terminator branch site never changes either.
         self._unit_size_cache: Dict[int, int] = {}
-        self._unit_latency_cache: Dict[int, int] = {}
-        self._unit_fill_cache: Dict[int, int] = {}
         self._site_cache: Dict[int, BranchSite] = {}
         self._ready_at: Dict[int, int] = {}  # unit -> completion cycle
         self._used_since_decompress: Dict[int, bool] = {}
+        # The per-block loop's hottest queries are plain dict lookups:
+        # unit_of(block_id) and is_unit_resident(unit_id).
+        self.unit_of = self._unit_of.__getitem__
+        self.is_unit_resident = self._ready_at.__contains__
+        # Materialisation charges whole units from this shared table.
+        self._geometry: Dict[int, tuple] = (
+            {} if self.image is None else self.replay_geometry()
+        )
 
     # ==================================================================
     # Geometry (the ManagerView surface)
     # ==================================================================
 
-    def unit_of(self, block_id: int) -> int:
-        """Compression unit owning ``block_id``."""
-        return self._unit_of[block_id]
-
     def unit_blocks(self, unit_id: int) -> Set[int]:
         """Blocks belonging to ``unit_id``."""
         return set(self._unit_blocks[unit_id])
 
-    def resident_units(self) -> Set[int]:
-        """Units currently holding (or receiving) a decompressed copy."""
-        return set(self._ready_at)
+    def resident_units(self) -> AbstractSet[int]:
+        """Units currently holding (or receiving) a decompressed copy.
 
-    def is_unit_resident(self, unit_id: int) -> bool:
-        """True when ``unit_id`` is decompressed or being decompressed."""
-        return unit_id in self._ready_at
+        A live read-only view, not a copy: it changes with every
+        materialise and release, so copy it to keep a snapshot.
+        """
+        return self._ready_at.keys()
 
     def unit_uncompressed_size(self, unit_id: int) -> int:
         """Uncompressed bytes of all blocks in ``unit_id``."""
@@ -188,13 +192,9 @@ class ResidencySubsystem:
     def unit_decompress_latency(self, unit_id: int) -> int:
         """Modelled codec cycles to decompress all of ``unit_id``
         (charged with the unit's own codec under a mixed assignment)."""
-        latency = self._unit_latency_cache.get(unit_id)
-        if latency is None:
-            latency = self.unit_codec(unit_id).costs.decompress_latency(
-                self.unit_uncompressed_size(unit_id)
-            )
-            self._unit_latency_cache[unit_id] = latency
-        return latency
+        return self.unit_codec(unit_id).costs.decompress_latency(
+            self.unit_uncompressed_size(unit_id)
+        )
 
     def unit_fill_cycles(self, unit_id: int) -> int:
         """Cycles to fill ``unit_id`` from the target memory.
@@ -203,21 +203,13 @@ class ResidencySubsystem:
         cost for streaming each block's compressed payload out of the
         target level (zero under the ``flat`` preset).
         """
-        cycles = self._unit_fill_cache.get(unit_id)
-        if cycles is None:
-            cycles = self.unit_decompress_latency(unit_id)
-            if self.image is not None:
-                cycles += sum(
-                    self.hierarchy.target_read_cycles(
-                        self.image.block(block_id).compressed_size
-                    )
-                    for block_id in self._unit_blocks[unit_id]
-                )
-            self._unit_fill_cache[unit_id] = cycles
-        return cycles
+        if self.image is None:
+            return self.unit_decompress_latency(unit_id)
+        return self._geometry[unit_id][1]
 
     def replay_geometry(self) -> Dict[int, tuple]:
-        """Per-unit geometry/timing table for the batched replay kernel.
+        """Per-unit geometry/timing table, shared by the per-block path
+        and the batched replay kernel.
 
         ``unit -> (alloc_bytes, fill_cycles, read_bytes, block_count,
         blocks_sorted)`` where ``alloc_bytes`` is the allocator-aligned
@@ -236,19 +228,17 @@ class ResidencySubsystem:
         if table is None:
             align = self.image.allocator._align
             table = {}
-            for unit_id, blocks in self._unit_blocks.items():
-                blocks_sorted = tuple(sorted(blocks))
-                alloc = 0
-                read_bytes = 0
+            for unit_id, blocks_sorted in self._unit_blocks.items():
+                alloc = read_bytes = read_cycles = 0
                 for block_id in blocks_sorted:
                     image_block = self.image.block(block_id)
                     alloc += align(max(image_block.uncompressed_size, 1))
-                    read_bytes += self.hierarchy.target_read_bytes(
-                        image_block.compressed_size
-                    )
+                    size = image_block.compressed_size
+                    read_bytes += self.hierarchy.target_read_bytes(size)
+                    read_cycles += self.hierarchy.target_read_cycles(size)
                 table[unit_id] = (
                     alloc,
-                    self.unit_fill_cycles(unit_id),
+                    self.unit_decompress_latency(unit_id) + read_cycles,
                     read_bytes,
                     len(blocks_sorted),
                     blocks_sorted,
@@ -321,31 +311,28 @@ class ResidencySubsystem:
 
     def materialise_unit(self, unit_id: int) -> None:
         """Allocate and mark every block of ``unit_id`` decompressed."""
-        assert self.image is not None
-        for block_id in sorted(self._unit_blocks[unit_id]):
-            self.image.decompress(block_id)
+        image = self.image
+        assert image is not None
+        _, fill_cycles, read_bytes, block_count, blocks = (
+            self._geometry[unit_id]
+        )
+        for block_id in blocks:
+            image.decompress(block_id)
             # Materialise the actual bytes (discarding them): an
             # undecodable payload must fail on the executed path, not
             # only under verify_block.  The shared memo bounds the cost
             # to one decode per block per (cfg, codec) — repeated
             # faults, and other sweep cells, never re-run the codec.
-            self.image.block_data(block_id)
-            # Section 2 traffic model: materialisation streams the
-            # compressed payload out of the target memory, in that
-            # level's burst-rounded transactions (one access per block).
-            self.counters.target_memory_bytes += (
-                self.hierarchy.target_read_bytes(
-                    self.image.block(block_id).compressed_size
-                )
-            )
-            self.counters.target_memory_accesses += 1
+            image.block_data(block_id)
+        # Section 2 traffic model: materialisation streams each block's
+        # compressed payload out of the target memory, in that level's
+        # burst-rounded transactions (one access per block).
+        self.counters.target_memory_bytes += read_bytes
+        self.counters.target_memory_accesses += block_count
         self.counters.decompressions += 1
         self._used_since_decompress[unit_id] = False
         if self.timing.tracer.enabled:
-            self.timing.tracer.fill(
-                self.timing.now, unit_id,
-                self.unit_fill_cycles(unit_id),
-            )
+            self.timing.tracer.fill(self.timing.now, unit_id, fill_cycles)
         if self.on_unit_decompressed is not None:
             self.on_unit_decompressed(unit_id)
         if self.budget is not None:
@@ -363,13 +350,15 @@ class ResidencySubsystem:
         is settled exactly once (the used-flag is popped, so a unit can
         never be counted wasted twice).
         """
-        assert self.image is not None
+        image = self.image
+        assert image is not None
+        timing = self.timing
         self._ready_at.pop(unit_id, None)
-        self.timing.cancel_decompression(unit_id)
+        timing.cancel_decompression(unit_id)
         patches = 0
-        for block_id in sorted(self._unit_blocks[unit_id]):
-            if self.image.is_resident(block_id):
-                self.image.release(block_id)
+        for block_id in self._unit_blocks[unit_id]:
+            if image.is_resident(block_id):
+                image.release(block_id)
             patches += len(self.remember.drop_target(block_id))
             self.remember.drop_sites_in_block(block_id)
         self.counters.patches += patches
@@ -377,13 +366,9 @@ class ResidencySubsystem:
         if not self._used_since_decompress.pop(unit_id, True):
             self.counters.wasted_decompressions += 1
         # Patching runs on the background compression thread.
-        self.timing.schedule_patches(
-            unit_id, self.config.patch_cycles * patches
-        )
-        if self.timing.tracer.enabled:
-            self.timing.tracer.release(
-                self.timing.now, unit_id, reason, patches
-            )
+        timing.schedule_patches(unit_id, self.config.patch_cycles * patches)
+        if timing.tracer.enabled:
+            timing.tracer.release(timing.now, unit_id, reason, patches)
         if self.on_unit_released is not None:
             self.on_unit_released(unit_id)
         if self.budget is not None:
@@ -414,19 +399,18 @@ class ResidencySubsystem:
         simply stays compressed and, if actually reached, faults on
         demand.
         """
-        unit_id = self.unit_of(block_id)
-        if self.is_unit_resident(unit_id):
+        unit_id = self._unit_of[block_id]
+        if unit_id in self._ready_at:
             return
-        if (
-            self.timing.decompression_backlog()
-            >= self.config.max_prefetch_backlog
-        ):
+        timing = self.timing
+        if timing.decompression_backlog() >= self.config.max_prefetch_backlog:
             self.counters.dropped_prefetches += 1
             return
-        self.enforce_budget(unit_id, protected=protected)
+        if self.budget is not None:
+            self.enforce_budget(unit_id, protected=protected)
         self.materialise_unit(unit_id)
-        job = self.timing.schedule_decompression(
-            unit_id, self.unit_fill_cycles(unit_id)
+        job = timing.schedule_decompression(
+            unit_id, self._geometry[unit_id][1]
         )
         self._ready_at[unit_id] = job.completes_at
         self.sample_footprint()

@@ -9,6 +9,7 @@ for allocating large objects or requires memory compaction".
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -50,9 +51,12 @@ class FreeListAllocator:
         self.capacity = capacity
         self.alignment = alignment
         self._allocations: Dict[int, int] = {}  # start -> size
-        self._holes: List[FreeHole] = []
+        # The free list: address-ordered parallel start/size lists.
+        self._hole_starts: List[int] = []
+        self._hole_sizes: List[int] = []
         if capacity is not None:
-            self._holes.append(FreeHole(base, capacity))
+            self._hole_starts.append(base)
+            self._hole_sizes.append(capacity)
         self._extent = base  # exclusive upper bound of touched space
         self.used_bytes = 0
         self.peak_used_bytes = 0
@@ -77,14 +81,18 @@ class FreeListAllocator:
         if size <= 0:
             raise ValueError(f"allocation size must be positive, got {size}")
         size = self._align(size)
-        for index, hole in enumerate(self._holes):
-            if hole.size >= size:
-                start = hole.start
-                remaining = hole.size - size
+        sizes = self._hole_sizes
+        for index, hole_size in enumerate(sizes):
+            if hole_size >= size:
+                starts = self._hole_starts
+                start = starts[index]
+                remaining = hole_size - size
                 if remaining:
-                    self._holes[index] = FreeHole(start + size, remaining)
+                    starts[index] = start + size
+                    sizes[index] = remaining
                 else:
-                    self._holes.pop(index)
+                    del starts[index]
+                    del sizes[index]
                 self._commit(start, size)
                 return start
         if self.capacity is None:
@@ -99,9 +107,11 @@ class FreeListAllocator:
 
     def _commit(self, start: int, size: int) -> None:
         self._allocations[start] = size
-        self._extent = max(self._extent, start + size)
+        if start + size > self._extent:
+            self._extent = start + size
         self.used_bytes += size
-        self.peak_used_bytes = max(self.peak_used_bytes, self.used_bytes)
+        if self.used_bytes > self.peak_used_bytes:
+            self.peak_used_bytes = self.used_bytes
         self.allocation_count += 1
 
     def free(self, start: int) -> int:
@@ -110,32 +120,29 @@ class FreeListAllocator:
         if size is None:
             raise AllocationError(f"no allocation at address {start:#x}")
         self.used_bytes -= size
-        self._insert_hole(FreeHole(start, size))
+        self._insert_hole(start, size)
         return size
 
-    def _insert_hole(self, hole: FreeHole) -> None:
-        """Insert ``hole`` keeping the list address-sorted and coalesced."""
-        holes = self._holes
-        low, high = 0, len(holes)
-        while low < high:
-            mid = (low + high) // 2
-            if holes[mid].start < hole.start:
-                low = mid + 1
+    def _insert_hole(self, start: int, size: int) -> None:
+        """Insert a hole keeping the list address-sorted and coalesced."""
+        starts = self._hole_starts
+        sizes = self._hole_sizes
+        index = bisect_left(starts, start)
+        joins_left = index > 0 and starts[index - 1] + sizes[index - 1] == start
+        if index < len(starts) and start + size == starts[index]:
+            # Coalesce with the right neighbour (and the left one).
+            if joins_left:
+                sizes[index - 1] += size + sizes[index]
+                del starts[index]
+                del sizes[index]
             else:
-                high = mid
-        holes.insert(low, hole)
-        # Coalesce with the right neighbour, then the left one.
-        if low + 1 < len(holes) and holes[low].end == holes[low + 1].start:
-            holes[low] = FreeHole(
-                holes[low].start, holes[low].size + holes[low + 1].size
-            )
-            holes.pop(low + 1)
-        if low > 0 and holes[low - 1].end == holes[low].start:
-            holes[low - 1] = FreeHole(
-                holes[low - 1].start,
-                holes[low - 1].size + holes[low].size,
-            )
-            holes.pop(low)
+                starts[index] = start
+                sizes[index] += size
+        elif joins_left:
+            sizes[index - 1] += size
+        else:
+            starts.insert(index, start)
+            sizes.insert(index, size)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -144,12 +151,12 @@ class FreeListAllocator:
     @property
     def free_bytes(self) -> int:
         """Total free bytes inside the current extent (or capacity)."""
-        return sum(hole.size for hole in self._holes)
+        return sum(self._hole_sizes)
 
     @property
     def largest_hole(self) -> int:
         """Size of the biggest free hole."""
-        return max((hole.size for hole in self._holes), default=0)
+        return max(self._hole_sizes, default=0)
 
     @property
     def extent_bytes(self) -> int:
@@ -159,7 +166,7 @@ class FreeListAllocator:
     @property
     def hole_count(self) -> int:
         """Number of distinct free holes."""
-        return len(self._holes)
+        return len(self._hole_starts)
 
     @property
     def live_allocations(self) -> int:
@@ -168,7 +175,7 @@ class FreeListAllocator:
 
     def holes(self) -> List[FreeHole]:
         """Snapshot of the free list (address-ordered)."""
-        return list(self._holes)
+        return list(map(FreeHole, self._hole_starts, self._hole_sizes))
 
     def allocations(self) -> Dict[int, int]:
         """Snapshot of live allocations (start -> size)."""
@@ -205,10 +212,12 @@ class FreeListAllocator:
             new_allocations[cursor] = size
             cursor += size
         self._allocations = new_allocations
-        self._holes = []
+        self._hole_starts = []
+        self._hole_sizes = []
         if self.capacity is not None:
             tail = self.base + self.capacity - cursor
             if tail > 0:
-                self._holes.append(FreeHole(cursor, tail))
+                self._hole_starts.append(cursor)
+                self._hole_sizes.append(tail)
         self._extent = cursor
         return bytes_moved, relocations

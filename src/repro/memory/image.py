@@ -381,7 +381,7 @@ class CodeImage(abc.ABC):
 
     def is_resident(self, block_id: int) -> bool:
         """True when ``block_id`` has a decompressed copy."""
-        return self.blocks[block_id].is_resident
+        return self.blocks[block_id].resident_addr is not None
 
     def fetch_check(self, block_id: int) -> None:
         """Raise :class:`CompressedCodeFault` when fetching compressed code."""
@@ -513,7 +513,7 @@ class SeparateAreaImage(CodeImage):
 
     def decompress(self, block_id: int) -> int:
         block = self.blocks[block_id]
-        if block.is_resident:
+        if block.resident_addr is not None:
             raise ImageError(f"block B{block_id} is already decompressed")
         address = self.allocator.allocate(max(block.uncompressed_size, 1))
         block.resident_addr = address
@@ -522,9 +522,9 @@ class SeparateAreaImage(CodeImage):
 
     def release(self, block_id: int) -> int:
         block = self.blocks[block_id]
-        if not block.is_resident:
+        if block.resident_addr is None:
             raise ImageError(f"block B{block_id} is not decompressed")
-        self.allocator.free(block.resident_addr)  # type: ignore[arg-type]
+        self.allocator.free(block.resident_addr)
         block.resident_addr = None
         self.release_count += 1
         return block.uncompressed_size

@@ -9,14 +9,12 @@ re-decompresses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 
-@dataclass(frozen=True)
-class BranchSite:
+class BranchSite(NamedTuple):
     """A branch instruction location: (block id, instruction index within
-    that block's decompressed copy)."""
+    that block's decompressed copy); a tuple, so hashing stays in C."""
 
     block_id: int
     instr_index: int
@@ -38,6 +36,8 @@ class RememberSets:
     def __init__(self) -> None:
         self._by_target: Dict[int, Set[BranchSite]] = {}
         self._site_target: Dict[BranchSite, int] = {}
+        # Sites by the block holding them: a released copy drops its own.
+        self._by_block: Dict[int, Set[BranchSite]] = {}
         self.total_patches = 0
 
     def add_reference(self, target_block: int, site: BranchSite) -> None:
@@ -47,6 +47,8 @@ class RememberSets:
             return
         if previous is not None:
             self._by_target[previous].discard(site)
+        else:
+            self._by_block.setdefault(site.block_id, set()).add(site)
         self._by_target.setdefault(target_block, set()).add(site)
         self._site_target[site] = target_block
         self.total_patches += 1
@@ -54,12 +56,10 @@ class RememberSets:
     def drop_target(self, target_block: int) -> List[BranchSite]:
         """Remove ``target_block``'s set; returns the sites needing
         patch-back (each patch-back is counted in :attr:`total_patches`)."""
-        sites = sorted(
-            self._by_target.pop(target_block, set()),
-            key=lambda s: (s.block_id, s.instr_index),
-        )
+        sites = sorted(self._by_target.pop(target_block, ()))
         for site in sites:
             del self._site_target[site]
+            self._by_block[site.block_id].discard(site)
         self.total_patches += len(sites)
         return sites
 
@@ -70,14 +70,11 @@ class RememberSets:
         Returns the number of sites removed; these need no patching — the
         memory holding them is freed.
         """
-        removed = 0
-        for site in [
-            s for s in self._site_target if s.block_id == block_id
-        ]:
+        sites = self._by_block.pop(block_id, ())
+        for site in sites:
             target = self._site_target.pop(site)
             self._by_target[target].discard(site)
-            removed += 1
-        return removed
+        return len(sites)
 
     def references_to(self, target_block: int) -> Set[BranchSite]:
         """Sites currently pointing at ``target_block``'s copy."""
@@ -111,4 +108,10 @@ class RememberSets:
                 problems.append(
                     f"site {site} maps to B{target} but missing from its set"
                 )
+            if site not in self._by_block.get(site.block_id, ()):
+                problems.append(f"site {site} missing from its block index")
+        for block_id, sites in self._by_block.items():
+            for site in sites:
+                if site.block_id != block_id or site not in self._site_target:
+                    problems.append(f"site {site} misindexed under B{block_id}")
         return problems

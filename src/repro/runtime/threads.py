@@ -25,6 +25,7 @@ experiments reproduce exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Dict, List, Optional
 
 
@@ -66,6 +67,8 @@ class BackgroundWorker:
         self.jobs_cancelled = 0
         self._pending: Dict[int, Job] = {}
         self._seq = 0
+        # Earliest pending completion (a lower bound after cancel(id)).
+        self._next_due = inf
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -80,18 +83,14 @@ class BackgroundWorker:
         if existing is not None:
             return existing
         started = max(now, self.free_at)
-        job = Job(
-            block_id=block_id,
-            latency=latency,
-            scheduled_at=now,
-            started_at=started,
-            completes_at=started + latency,
-            seq=self._seq,
-        )
+        job = Job(block_id, latency, now, started, started + latency,
+                  self._seq)
         self._seq += 1
         self.free_at = job.completes_at
         self.busy_cycles += latency
         self._pending[block_id] = job
+        if job.completes_at < self._next_due:
+            self._next_due = job.completes_at
         return job
 
     def cancel(self, block_id: int, now: Optional[int] = None) -> Optional[Job]:
@@ -134,6 +133,13 @@ class BackgroundWorker:
                 job.completes_at = job.started_at + job.latency
                 cursor = job.completes_at
         self.free_at = cursor
+        self._update_next_due()
+
+    def _update_next_due(self) -> None:
+        self._next_due = min(
+            (job.completes_at for job in self._pending.values()),
+            default=inf,
+        )
 
     def absorb_jobs(
         self,
@@ -158,16 +164,13 @@ class BackgroundWorker:
         added = 0
         for block_id, latency, scheduled_at, started, completes in pending:
             self._pending[block_id] = Job(
-                block_id=block_id,
-                latency=latency,
-                scheduled_at=scheduled_at,
-                started_at=started,
-                completes_at=completes,
-                seq=self._seq,
+                block_id, latency, scheduled_at, started, completes,
+                self._seq,
             )
             self._seq += 1
             added += 1
         self._seq += scheduled - added
+        self._update_next_due()
 
     # ------------------------------------------------------------------
     # Queries
@@ -185,15 +188,21 @@ class BackgroundWorker:
 
     def retire_completed(self, now: int) -> List[Job]:
         """Remove and return jobs completed by ``now``."""
-        if not self._pending:
+        if now < self._next_due:
             return []
-        done = [
-            job for job in self._pending.values() if job.completes_at <= now
-        ]
+        done = []
+        self._next_due = inf
+        for job in self._pending.values():
+            if job.completes_at <= now:
+                done.append(job)
+            elif job.completes_at < self._next_due:
+                self._next_due = job.completes_at
         for job in done:
             del self._pending[job.block_id]
-            self.jobs_completed += 1
-        return sorted(done, key=lambda job: (job.completes_at, job.seq))
+        self.jobs_completed += len(done)
+        if len(done) > 1:
+            done.sort(key=lambda job: (job.completes_at, job.seq))
+        return done
 
     def pending_jobs(self) -> List[Job]:
         """Snapshot of outstanding jobs in FIFO order."""

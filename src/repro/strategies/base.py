@@ -13,7 +13,7 @@ the CFG, residency, and the access pattern, without owning any mechanism.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Protocol, Set
+from typing import AbstractSet, Dict, Iterable, List, Optional, Protocol, Set
 
 from ..cfg.builder import ProgramCFG
 from ..cfg.profile import EdgeProfile
@@ -40,8 +40,9 @@ class ManagerView(Protocol):
         """Block ids belonging to ``unit_id``."""
         ...
 
-    def resident_units(self) -> Set[int]:
-        """Units that currently have a decompressed copy."""
+    def resident_units(self) -> AbstractSet[int]:
+        """Units that currently have a decompressed copy (may be a live
+        view: do not hold it across a materialise or release)."""
         ...
 
     def is_unit_resident(self, unit_id: int) -> bool:

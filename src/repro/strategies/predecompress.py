@@ -14,7 +14,7 @@ at most k edges that need to be traversed before it could be reached."
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .base import STRATEGIES, DecompressionPolicy
 from .predictor import Predictor
@@ -38,8 +38,8 @@ class PreDecompressAll(DecompressionPolicy):
         hood = self.view.cfg.forward_neighbourhood(entry_block, self.k)
         return sorted({entry_block} | hood)
 
-    def on_block_exit(self, block_id: int) -> List[int]:
-        return sorted(self.view.cfg.forward_neighbourhood(block_id, self.k))
+    def on_block_exit(self, block_id: int) -> Sequence[int]:
+        return self.view.cfg.sorted_forward_neighbourhood(block_id, self.k)
 
 
 @STRATEGIES.register("pre-single")

@@ -155,6 +155,44 @@ class TestGraphQueries:
         exit_id = loop_cfg.exit_ids[0]
         assert loop_cfg.forward_neighbourhood(exit_id, 3) == set()
 
+    def test_add_edge_clears_neighbourhood_memos(self):
+        blocks = [
+            BasicBlock(0, 0, [ins.jmp("x").with_imm(1)]),
+            BasicBlock(1, 1, [ins.jmp("x").with_imm(2)]),
+            BasicBlock(2, 2, [ins.halt()]),
+        ]
+        cfg = ControlFlowGraph(blocks, [Edge(0, 1)])
+        assert cfg.forward_neighbourhood(0, 2) == {1}
+        assert cfg.sorted_successors(1) == ()
+        cfg.add_edge(Edge(1, 2))
+        assert cfg.forward_neighbourhood(0, 2) == {1, 2}
+        assert cfg.sorted_forward_neighbourhood(0, 2) == (1, 2)
+        assert cfg.sorted_successors(1) == (2,)
+
+    def test_memoised_neighbourhood_matches_fresh_bfs(self):
+        from repro.workloads import suite
+
+        for workload in suite.full_suite():
+            cfg = build_cfg(workload.program)
+            for block in cfg.blocks:
+                bid = block.block_id
+                assert cfg.sorted_successors(bid) == tuple(
+                    sorted(cfg.successors(bid))
+                )
+                for k in (1, 2, 4, 8):
+                    # Distance 1..k: reached within k edges, or (for the
+                    # block itself) re-reached around a cycle of <= k.
+                    fresh = set(cfg.blocks_within(bid, k)) - {bid}
+                    if any(
+                        bid in cfg.blocks_within(succ, k - 1)
+                        for succ in cfg.successors(bid)
+                    ):
+                        fresh.add(bid)
+                    assert cfg.sorted_forward_neighbourhood(bid, k) == (
+                        tuple(sorted(fresh))
+                    ), (workload.name, bid, k)
+                    assert cfg.forward_neighbourhood(bid, k) == fresh
+
     def test_backward_neighbourhood(self, loop_cfg):
         exit_id = loop_cfg.exit_ids[0]
         back = loop_cfg.backward_neighbourhood(exit_id, 1)
