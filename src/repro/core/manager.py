@@ -61,6 +61,7 @@ from .timing import TimingModel
 #: hit the cap are flagged via ``SimulationResult.trace_truncated``.
 _TRACE_CAP = 2_000_000
 
+#: The protected set of unbudgeted runs, where nothing reads it.
 _UNPROTECTED: AbstractSet[int] = frozenset()
 
 
@@ -114,6 +115,11 @@ class CodeCompressionManager:
         self.residency = ResidencySubsystem(
             cfg, self.config, self.timing, self.counters
         )
+        # The ManagerView queries of the per-block loop are residency's
+        # own, bound here so that no delegating call sits in between.
+        self.unit_of = self.residency.unit_of
+        self.resident_units = self.residency.resident_units
+        self.is_unit_resident = self.residency.is_unit_resident
 
         # ---- policies ----------------------------------------------
         # Policy instances may be injected for ablations (E12); the
@@ -255,24 +261,13 @@ class CodeCompressionManager:
         )
 
     # ==================================================================
-    # ManagerView protocol (what policies can see)
+    # ManagerView protocol (what policies can see; unit_of,
+    # resident_units and is_unit_resident are bound in __init__)
     # ==================================================================
-
-    def unit_of(self, block_id: int) -> int:
-        """Compression unit owning ``block_id``."""
-        return self.residency.unit_of(block_id)
 
     def unit_blocks(self, unit_id: int) -> Set[int]:
         """Blocks belonging to ``unit_id``."""
         return self.residency.unit_blocks(unit_id)
-
-    def resident_units(self) -> AbstractSet[int]:
-        """Units currently holding (or receiving) a decompressed copy."""
-        return self.residency.resident_units()
-
-    def is_unit_resident(self, unit_id: int) -> bool:
-        """True when ``unit_id`` is decompressed or being decompressed."""
-        return self.residency.is_unit_resident(unit_id)
 
     def unit_uncompressed_size(self, unit_id: int) -> int:
         """Uncompressed bytes of all blocks in ``unit_id``."""

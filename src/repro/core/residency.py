@@ -399,18 +399,20 @@ class ResidencySubsystem:
         simply stays compressed and, if actually reached, faults on
         demand.
         """
-        unit_id = self._unit_of[block_id]
-        if unit_id in self._ready_at:
+        unit_id = self.unit_of(block_id)
+        if self.is_unit_resident(unit_id):
             return
-        timing = self.timing
-        if timing.decompression_backlog() >= self.config.max_prefetch_backlog:
+        if (
+            self.timing.decompression_backlog()
+            >= self.config.max_prefetch_backlog
+        ):
             self.counters.dropped_prefetches += 1
             return
         if self.budget is not None:
             self.enforce_budget(unit_id, protected=protected)
         self.materialise_unit(unit_id)
-        job = timing.schedule_decompression(
-            unit_id, self._geometry[unit_id][1]
+        job = self.timing.schedule_decompression(
+            unit_id, self.unit_fill_cycles(unit_id)
         )
         self._ready_at[unit_id] = job.completes_at
         self.sample_footprint()
