@@ -11,14 +11,16 @@ derive branch probabilities from it.
 Two consumers drive the design: the "static-profile" *predictor*
 (:mod:`repro.strategies.predictor`) reads successor probabilities, and
 the profile-guided *codec-assignment* policies (:mod:`repro.selection`)
-rank compression units by their block entry counts.  Profiles serialise
-into store fingerprints by content
-(:func:`repro.store.fingerprint.config_signature`), so a profiled
-configuration caches as stably as an unprofiled one.
+rank compression units by their block entry counts.  Profiles enter
+store fingerprints (:func:`repro.store.fingerprint.config_signature`)
+and the codec-assignment cache by content (:meth:`EdgeProfile.digest`),
+so a profiled configuration caches as stably as an unprofiled one.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -79,6 +81,25 @@ class EdgeProfile:
     def block_count(self, block_id: int) -> int:
         """Entry count of ``block_id``."""
         return self.block_counts.get(block_id, 0)
+
+    def digest(self) -> str:
+        """SHA-256 of the counts, independent of recording order.
+
+        Computed afresh on every call, so a profile mutated in place
+        never keeps its old digest.
+        """
+        payload = {
+            "edges": sorted(
+                f"{src}->{dst}:{count}"
+                for (src, dst), count in self.edge_counts.items()
+            ),
+            "blocks": sorted(
+                f"{block}:{count}"
+                for block, count in self.block_counts.items()
+            ),
+        }
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     @property
     def total_transitions(self) -> int:

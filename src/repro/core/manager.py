@@ -458,6 +458,10 @@ class CodeCompressionManager:
             # excluded from summary()/serialisation so traced and
             # untraced runs stay byte-identical.
             result.phases = self.tracer.phases()
+        # The policies' views point back at this manager; dropping them
+        # leaves the finished cell free of cycles, so it is reclaimed by
+        # reference counting rather than by the cycle collector.
+        self.compression.view = self.decompression.view = None
         return result
 
     # ------------------------------------------------------------------

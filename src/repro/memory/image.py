@@ -87,12 +87,18 @@ class ArtifactCache:
     rebuilt on the next request.  Entries hold their CFG weakly, so a
     dead CFG's artifacts leave the cache immediately rather than waiting
     to age out.
+
+    Other per-CFG products (finished codec assignments) live in their
+    own instances, passed as ``dependents`` so :meth:`clear` drops them.
     """
 
-    def __init__(self, capacity: int = 32) -> None:
+    def __init__(
+        self, capacity: int = 32, dependents: Sequence["ArtifactCache"] = ()
+    ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
+        self._dependents = tuple(dependents)
         # key -> (weakref to the cfg, artifacts); keys use id() with the
         # weakref guarding against id reuse after a CFG dies.
         self._entries: "OrderedDict[Tuple[int, str], Tuple[weakref.ref, CompressionArtifacts]]" = (
@@ -155,13 +161,22 @@ class ArtifactCache:
                 self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop every entry (long-lived processes reclaim memory now)."""
+        """Drop every entry, and every dependent cache's (long-lived
+        processes reclaim memory now)."""
         with self._mutex:
             self._entries.clear()
+        for dependent in self._dependents:
+            dependent.clear()
 
+
+#: Finished codec assignments per (CFG, assignment inputs), see
+#: :func:`repro.selection.assignment.build_assignment`.  Not in the LRU
+#: below: one assignment build inserts an entry per candidate codec, so
+#: with a few programs in rotation each assignment was evicted unused.
+_ASSIGNMENTS = ArtifactCache(capacity=64)
 
 #: The process-wide shared-artifact memo (see :class:`ArtifactCache`).
-_ARTIFACTS = ArtifactCache()
+_ARTIFACTS = ArtifactCache(dependents=(_ASSIGNMENTS,))
 
 
 def artifact_cache() -> ArtifactCache:

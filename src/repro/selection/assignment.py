@@ -40,6 +40,8 @@ import abc
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -52,8 +54,14 @@ from typing import (
 from ..cfg.builder import ProgramCFG
 from ..cfg.loops import natural_loops
 from ..cfg.profile import EdgeProfile
-from ..compress.codec import CodecError, get_codec, resolve_codec_spec
+from ..compress.codec import (
+    CodecCosts,
+    CodecError,
+    get_codec,
+    resolve_codec_spec,
+)
 from ..memory.image import (
+    _ASSIGNMENTS,
     CompressionArtifacts,
     artifact_cache,
     compression_artifacts,
@@ -185,7 +193,9 @@ class AssignmentContext:
 
     Payload sizes come from the shared per-(CFG, codec) artifact memo,
     so asking for a codec's sizes trains/compresses at most once per
-    process — and not at all when a sweep already built them.
+    process — and not at all when a sweep already built them.  Per-unit
+    sizes and cost models are kept per codec, as policies query them in
+    tight loops.
     """
 
     def __init__(
@@ -214,7 +224,8 @@ class AssignmentContext:
         self.profiled = profile is not None and any(
             profile.block_counts.values()
         )
-        self._payload_cache: Dict[str, List[int]] = {}
+        self._unit_payloads: Dict[str, Dict[int, int]] = {}
+        self._costs: Dict[str, CodecCosts] = {}
 
     def _hotness_by_block(
         self, profile: Optional[EdgeProfile]
@@ -241,18 +252,16 @@ class AssignmentContext:
 
     # -- sizes and costs ----------------------------------------------
 
-    def _payload_sizes(self, codec_name: str) -> List[int]:
-        sizes = self._payload_cache.get(codec_name)
-        if sizes is None:
-            artifacts = compression_artifacts(self.cfg, codec_name)
-            sizes = [len(p) for p in artifacts.payloads]
-            self._payload_cache[codec_name] = sizes
-        return sizes
-
     def unit_payload_size(self, unit_id: int, codec_name: str) -> int:
         """Compressed bytes of ``unit_id`` under ``codec_name``."""
-        sizes = self._payload_sizes(codec_name)
-        return sum(sizes[b] for b in self._unit_blocks[unit_id])
+        table = self._unit_payloads.get(codec_name)
+        if table is None:
+            payloads = compression_artifacts(self.cfg, codec_name).payloads
+            table = self._unit_payloads[codec_name] = {
+                unit_id: sum(len(payloads[b]) for b in blocks)
+                for unit_id, blocks in self._unit_blocks.items()
+            }
+        return table[unit_id]
 
     def model_overhead(self, codec_name: str) -> int:
         """The codec's shared-model bytes, charged once per image."""
@@ -261,7 +270,10 @@ class AssignmentContext:
 
     def decompress_latency(self, codec_name: str, nbytes: int) -> int:
         """Modelled cycles to decompress ``nbytes`` with the codec."""
-        return get_codec(codec_name).costs.decompress_latency(nbytes)
+        costs = self._costs.get(codec_name)
+        if costs is None:
+            costs = self._costs[codec_name] = get_codec(codec_name).costs
+        return costs.decompress_latency(nbytes)
 
     def image_size(self, unit_codecs: Mapping[int, str]) -> int:
         """Exact compressed-image bytes of a candidate assignment:
@@ -319,12 +331,20 @@ class CodecAssignment:
     flattened per-block view the image layer consumes.  ``digest`` is a
     canonical content hash, used to memoize the mixed-codec artifacts
     exactly like a codec name memoizes uniform artifacts.
+
+    One instance is shared by every cell built from the same inputs, so
+    both mappings are read-only copies and the digest is computed once.
     """
 
     policy: str
     base_codec: str
     unit_codecs: Mapping[int, str]
     block_codecs: Mapping[int, str]
+
+    def __post_init__(self) -> None:
+        for name in ("unit_codecs", "block_codecs"):
+            frozen = MappingProxyType(dict(getattr(self, name)))
+            object.__setattr__(self, name, frozen)
 
     def codec_names(self) -> Tuple[str, ...]:
         """Distinct codec names in use, sorted."""
@@ -337,7 +357,7 @@ class CodecAssignment:
             out[codec_name] = out.get(codec_name, 0) + 1
         return dict(sorted(out.items()))
 
-    @property
+    @cached_property
     def digest(self) -> str:
         """Canonical content hash of the block -> codec mapping."""
         payload = json.dumps(
@@ -362,7 +382,21 @@ def build_assignment(
     config's offline edge profile (static loop-nesting hotness when the
     profile is absent or empty).  The returned mapping is validated:
     every unit assigned, every codec name registered.
+
+    The result is memoized per CFG on everything the build reads: the
+    policy spec, base codec and granularity, the profile's content, and
+    the CFG's edge count (static hotness follows its loops, and edges
+    are only ever added).
     """
+    profile = config.profile
+    key = repr((
+        config.assignment, config.codec, config.granularity,
+        profile.digest() if profile is not None else None,
+        cfg.num_edges,
+    ))
+    cached = _ASSIGNMENTS.get(cfg, key)
+    if cached is not None:
+        return cached
     policy = make_policy(config.assignment)
     context = AssignmentContext(
         cfg,
@@ -394,12 +428,14 @@ def build_assignment(
         for unit_id, blocks in unit_blocks.items()
         for block_id in blocks
     }
-    return CodecAssignment(
+    assignment = CodecAssignment(
         policy=config.assignment,
         base_codec=config.codec,
         unit_codecs=unit_codecs,
         block_codecs=block_codecs,
     )
+    _ASSIGNMENTS.put(cfg, key, assignment)
+    return assignment
 
 
 def assignment_artifacts(

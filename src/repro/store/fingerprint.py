@@ -31,7 +31,6 @@ import os
 import pathlib
 from typing import Any, Dict, List, Optional
 
-from ..cfg.profile import EdgeProfile
 from ..compress.codec import is_pipeline_spec
 from ..compress.pipeline import parse_pipeline_spec
 from ..core.config import SimulationConfig
@@ -113,25 +112,6 @@ def workload_digest(workload: Workload) -> str:
     return f"{workload.name}:{digest}"
 
 
-def _profile_digest(profile: Optional[EdgeProfile]) -> Optional[str]:
-    """Content digest of an offline edge profile (None passes through)."""
-    if profile is None:
-        return None
-    payload = {
-        "edges": sorted(
-            f"{src}->{dst}:{count}"
-            for (src, dst), count in profile.edge_counts.items()
-        ),
-        "blocks": sorted(
-            f"{block}:{count}"
-            for block, count in profile.block_counts.items()
-        ),
-    }
-    return hashlib.sha256(
-        canonical_dumps(payload).encode("utf-8")
-    ).hexdigest()
-
-
 def config_signature(config: SimulationConfig) -> Dict[str, Any]:
     """JSON-safe form of every config field, profiles hashed by content.
 
@@ -145,7 +125,7 @@ def config_signature(config: SimulationConfig) -> Dict[str, Any]:
     for f in dataclasses.fields(SimulationConfig):
         value = getattr(config, f.name)
         if f.name == "profile":
-            value = _profile_digest(value)
+            value = value.digest() if value is not None else None
         elif f.name == "hierarchy":
             value = dataclasses.asdict(get_hierarchy(value))
         elif f.name == "codec" and is_pipeline_spec(value):

@@ -2,17 +2,23 @@
 
 The integration suite exercises the manager end to end; these tests pin
 down the fine-grained accounting rules: fault cost arithmetic, patch
-faults vs. full faults, prefetch shedding, the ManagerView protocol, and
-trace capping.
+faults vs. full faults, prefetch shedding, the ManagerView protocol,
+trace capping, and cycle-free teardown of a finished cell.
 """
+
+import gc
+import weakref
 
 import pytest
 
+from repro.analysis.sweep import sweep
 from repro.cfg import build_cfg
 from repro.core import SimulationConfig
 from repro.core.manager import CodeCompressionManager
 from repro.isa import assemble
 from repro.obs import SpanTracer
+from repro.strategies.kedge import KEdgeCompression
+from repro.strategies.ondemand import OnDemandDecompression
 from repro.workloads import get_workload
 
 _FAST = dict(trace_events=False, record_trace=False)
@@ -238,3 +244,57 @@ class TestWastedDecompressions:
         ).run()
         # every decompression was demanded by an actual entry
         assert result.counters.wasted_decompressions == 0
+
+
+class TestCellTeardown:
+    """A finished cell frees by reference counting alone: its object
+    graph holds no cycle, so the cycle collector never has to find it."""
+
+    @pytest.fixture
+    def managers(self, monkeypatch):
+        refs = []
+        init = CodeCompressionManager.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(CodeCompressionManager, "__init__",
+                            recording_init)
+        gc.collect()
+        gc.disable()
+        try:
+            yield refs
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("engine, decompression, k", [
+        ("machine", "pre-single", 1),
+        ("trace", "pre-all", 2),
+        ("trace", "ondemand", 2),
+    ])
+    def test_manager_dies_with_its_cell(self, managers, engine,
+                                        decompression, k):
+        workload = get_workload("crc32")
+        config = SimulationConfig(decompression=decompression,
+                                  k_compress=k, **_FAST)
+        runs = sweep([workload], [config], engine=engine).runs
+        assert runs[0].ok
+        assert managers
+        assert all(ref() is None for ref in managers)
+
+    def test_injected_policies_serve_a_second_manager(self, loop_cfg):
+        compression = KEdgeCompression(2)
+        decompression = OnDemandDecompression()
+        config = SimulationConfig(decompression="ondemand", k_compress=2,
+                                  **_FAST)
+        results = [
+            CodeCompressionManager(
+                loop_cfg, config, compression_policy=compression,
+                decompression_policy=decompression,
+            ).run().summary()
+            for _ in range(2)
+        ]
+        assert results[0] == results[1]
+        assert results[0] == CodeCompressionManager(
+            loop_cfg, config).run().summary()

@@ -85,3 +85,46 @@ class TestQueries:
         assert merged.edge_count(1, 2) == 1
         # originals untouched
         assert a.edge_count(0, 1) == 1
+
+
+class TestDigest:
+    # Recorded before the digest moved from the store fingerprint onto
+    # the profile: store fingerprints and golden config keys depend on
+    # these exact strings.
+    TRACE_DIGEST = (
+        "1967235619d1262edc85584ace3f71a74394dc1eec72d4cabc9d523d4ee48277"
+    )
+    COMPOSITE_DIGEST = (
+        "d85e8bcb83dcd4cef2cdee85499a1aa8740c459284c453f8ac0b54ccd2159910"
+    )
+
+    def test_digest_unchanged_for_recorded_profiles(self):
+        from repro import api
+
+        assert profile_from_trace([0, 1, 2, 1, 2, 3]).digest() == \
+            self.TRACE_DIGEST
+        assert api.profile_workload("composite").digest() == \
+            self.COMPOSITE_DIGEST
+
+    def test_fingerprint_uses_the_profile_digest(self):
+        from repro.core import SimulationConfig
+        from repro.store.fingerprint import config_signature
+
+        profile = profile_from_trace([0, 1, 2, 1, 2, 3])
+        signature = config_signature(SimulationConfig(profile=profile))
+        assert signature["profile"] == self.TRACE_DIGEST
+        assert config_signature(SimulationConfig())["profile"] is None
+
+    def test_digest_follows_in_place_mutation(self):
+        profile = profile_from_trace([0, 1, 2])
+        before = profile.digest()
+        profile.record_edge(2, 0)
+        assert profile.digest() != before
+
+    def test_digest_ignores_recording_order(self):
+        a, b = EdgeProfile(), EdgeProfile()
+        a.record_edge(0, 1)
+        a.record_edge(1, 2)
+        b.record_edge(1, 2)
+        b.record_edge(0, 1)
+        assert a.digest() == b.digest()

@@ -2,15 +2,17 @@
 
 import pytest
 
-from repro.cfg import build_cfg
+from repro.cfg import build_cfg, profile_from_trace
+from repro.cfg.graph import Edge
 from repro.core import ConfigError, SimulationConfig
-from repro.memory.image import compression_artifacts
+from repro.memory.image import artifact_cache, compression_artifacts
 from repro.selection import (
     ASSIGNMENTS,
     UNCOMPRESSED,
     AssignmentContext,
     AssignmentError,
     AssignmentPolicy,
+    CodecAssignment,
     KnapsackAssignment,
     assignment_artifacts,
     available_assignments,
@@ -368,3 +370,101 @@ class TestMixedArtifacts:
         a = build_assignment(composite_cfg, base)
         b = build_assignment(composite_cfg, hot)
         assert a.digest != b.digest or a.block_codecs == b.block_codecs
+
+
+class TestFrozenAssignment:
+    # Recorded before assignments were cached and shared: the mixed
+    # artifact memo keys on these exact strings.
+    KNAPSACK_DIGEST = (
+        "be20955820def36521e8592d20f1ff7d7ce6f6fd6cf21c8e1a163fa42f6e48c6"
+    )
+    STATIC_DIGEST = (
+        "2cf9184bfc87fbe3ac80c778e95bea79af231053016ed3e6646b7373d70f9954"
+    )
+
+    def test_mappings_are_read_only(self, composite_cfg):
+        assignment = build_assignment(
+            composite_cfg, SimulationConfig(assignment="knapsack")
+        )
+        with pytest.raises(TypeError):
+            assignment.unit_codecs[0] = UNCOMPRESSED
+        with pytest.raises(TypeError):
+            assignment.block_codecs[0] = UNCOMPRESSED
+
+    def test_mappings_are_copies(self):
+        unit_codecs = {u: "rle" for u in range(3)}
+        assignment = CodecAssignment(
+            policy="uniform", base_codec="rle",
+            unit_codecs=unit_codecs, block_codecs=dict(unit_codecs),
+        )
+        unit_codecs[0] = UNCOMPRESSED
+        assert assignment.unit_codecs[0] == "rle"
+
+    def test_digest_unchanged(self, composite_cfg, composite_profile):
+        profiled = SimulationConfig(
+            codec="shared-dict", assignment="knapsack",
+            profile=composite_profile,
+        )
+        assert build_assignment(composite_cfg, profiled).digest == \
+            self.KNAPSACK_DIGEST
+        static = profiled.replace(assignment="pipeline-search",
+                                  profile=None)
+        assert build_assignment(composite_cfg, static).digest == \
+            self.STATIC_DIGEST
+
+
+class TestAssignmentCache:
+    @pytest.mark.parametrize("profiled", [False, True])
+    @pytest.mark.parametrize("granularity", ["block", "function"])
+    @pytest.mark.parametrize("policy", available_assignments())
+    def test_cached_equals_fresh(self, composite_cfg, composite_profile,
+                                 policy, granularity, profiled):
+        config = SimulationConfig(
+            codec="shared-dict", assignment=policy,
+            granularity=granularity,
+            profile=composite_profile if profiled else None,
+        )
+        cached = build_assignment(composite_cfg, config)
+        assert build_assignment(composite_cfg, config) is cached
+        artifact_cache().clear()
+        fresh = build_assignment(composite_cfg, config)
+        assert fresh is not cached
+        assert fresh == cached
+        assert fresh.digest == cached.digest
+
+    def test_profiles_with_different_counts_differ(self, composite_cfg):
+        config = SimulationConfig(codec="shared-dict",
+                                  assignment="hotness-threshold:0.1")
+        first = build_assignment(composite_cfg, config.replace(
+            profile=profile_from_trace([0, 1, 2, 5, 6] * 50)))
+        second = build_assignment(composite_cfg, config.replace(
+            profile=profile_from_trace([0, 11, 12, 13, 14] * 50)))
+        assert first.unit_codecs[1] == UNCOMPRESSED
+        assert second.unit_codecs[1] != UNCOMPRESSED
+
+    def test_profile_mutated_in_place_not_served_stale(
+        self, composite_cfg
+    ):
+        profile = profile_from_trace([0, 1, 2, 5, 6] * 50)
+        config = SimulationConfig(codec="shared-dict",
+                                  assignment="hotness-threshold:0.1",
+                                  profile=profile)
+        before = build_assignment(composite_cfg, config)
+        assert before.unit_codecs[11] != UNCOMPRESSED
+        profile.record_trace([11] * 1000)
+        after = build_assignment(composite_cfg, config)
+        assert after.unit_codecs[11] == UNCOMPRESSED
+        artifact_cache().clear()
+        assert build_assignment(composite_cfg, config) == after
+
+    def test_new_loop_not_served_stale(self):
+        cfg = build_cfg(get_workload("composite").program)
+        config = SimulationConfig(codec="shared-dict",
+                                  assignment="hotness-threshold:1")
+        before = build_assignment(cfg, config)
+        assert before.unit_codecs[1] != UNCOMPRESSED
+        cfg.add_edge(Edge(1, 1))  # block 1 now heads a loop
+        after = build_assignment(cfg, config)
+        assert after.unit_codecs[1] == UNCOMPRESSED
+        artifact_cache().clear()
+        assert build_assignment(cfg, config) == after
