@@ -57,7 +57,7 @@ docs:
 # set (fingerprints, CAS round-trip, and cache-hit-equals-recompute,
 # end to end through the public facade).
 store-smoke:
-	$(PYTHON) -m repro store smoke
+	$(PYTHON) tests/smoke/store.py
 
 # Boot a real sweep-service subprocess against a throwaway store:
 # /healthz goes green, a submitted spec's /result is byte-identical
@@ -66,7 +66,7 @@ store-smoke:
 # Then the load harness proves the cached fast path sustains >= 1000
 # requests/s.
 serve-smoke:
-	$(PYTHON) -m repro serve --smoke
+	$(PYTHON) tests/smoke/serve.py
 	$(PYTHON) benchmarks/perf/load_service.py --smoke
 
 # Observability gate: boot a real server subprocess, run one job,
@@ -74,7 +74,7 @@ serve-smoke:
 # syntax checker, and assert /dashboard serves the self-contained
 # live page (see docs/observability.md).
 obs-smoke:
-	$(PYTHON) -m repro obs smoke
+	$(PYTHON) tests/smoke/obs.py
 
 # Seeded fault-injection scenarios (tests/chaos/): sweeps under
 # injected worker crashes, hangs, transient faults and store

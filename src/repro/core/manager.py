@@ -175,58 +175,10 @@ class CodeCompressionManager:
         self.trace_truncated = False
         self._current_block: Optional[int] = None
 
-    # ==================================================================
-    # Subsystem views (back-compat attribute surface)
-    # ==================================================================
-
-    @property
-    def now(self) -> int:
-        """The global cycle clock (owned by the timing model)."""
-        return self.timing.now
-
-    @property
-    def execution_cycles(self) -> int:
-        """Pure compute cycles (owned by the timing model)."""
-        return self.timing.execution_cycles
-
     @property
     def image(self):
         """The code image (owned by the residency subsystem)."""
         return self.residency.image
-
-    @property
-    def codec(self):
-        """The (possibly trained) codec instance."""
-        return self.residency.codec
-
-    @property
-    def budget(self):
-        """The optional memory budget (owned by residency)."""
-        return self.residency.budget
-
-    @property
-    def remember(self):
-        """The remember sets (owned by residency)."""
-        return self.residency.remember
-
-    @property
-    def footprint(self):
-        """The footprint timeline (owned by residency)."""
-        return self.residency.footprint
-
-    @property
-    def decompress_worker(self):
-        """The background decompression thread (owned by timing)."""
-        return self.timing.decompress_worker
-
-    @property
-    def compress_worker(self):
-        """The background compression thread (owned by timing)."""
-        return self.timing.compress_worker
-
-    @property
-    def _artifacts(self):
-        return self.residency.artifacts
 
     # ==================================================================
     # Artifact export
@@ -268,13 +220,6 @@ class CodeCompressionManager:
     def unit_blocks(self, unit_id: int) -> Set[int]:
         """Blocks belonging to ``unit_id``."""
         return self.residency.unit_blocks(unit_id)
-
-    def unit_uncompressed_size(self, unit_id: int) -> int:
-        """Uncompressed bytes of all blocks in ``unit_id``."""
-        return self.residency.unit_uncompressed_size(unit_id)
-
-    def _unit_decompress_latency(self, unit_id: int) -> int:
-        return self.residency.unit_decompress_latency(unit_id)
 
     # ==================================================================
     # Fault handling (the Section 5 exception handler)

@@ -75,6 +75,47 @@ class TestMemoryBudget:
         _, result = self._run("adpcm", budget=400, eviction=policy)
         assert result.total_cycles > 0
 
+    def test_eviction_spares_the_unit_left_and_the_unit_faulted_in(
+        self, monkeypatch
+    ):
+        """Pre-decompression under a tight budget: an eviction victim is
+        never the unit of the block being left, nor the unit being
+        brought in.  ``largest`` eviction would otherwise pick the
+        running unit, and the cell's counters pin that it does not."""
+        workload = get_workload("composite")
+        cfg = build_cfg(workload.program)
+        image_size = CodeCompressionManager(
+            cfg, SimulationConfig(**_FAST)
+        ).image.compressed_image_size
+        manager = CodeCompressionManager(cfg, SimulationConfig(
+            decompression="pre-all", k_compress=None, eviction="largest",
+            memory_budget=image_size + 256, **_FAST,
+        ))
+        residency = manager.residency
+        enforce, release = residency.enforce_budget, residency.release_unit
+        incoming, victims = [], []
+
+        def enforce_budget(unit_id, protected):
+            incoming.append(unit_id)
+            enforce(unit_id, protected)
+            incoming.pop()
+
+        def release_unit(unit_id, reason):
+            if reason == "evict":
+                left = manager._current_block
+                victims.append(unit_id)
+                assert unit_id != incoming[-1]
+                assert left is None or unit_id != residency.unit_of(left)
+            release(unit_id, reason)
+
+        monkeypatch.setattr(residency, "enforce_budget", enforce_budget)
+        monkeypatch.setattr(residency, "release_unit", release_unit)
+        result = manager.run()
+        assert workload.validate(manager.machine) == []
+        assert len(victims) == result.counters.evictions == 49
+        assert result.total_cycles == 101_340
+        assert result.counters.faults == 861
+
     def test_impossible_budget_raises(self):
         from repro.strategies.budget import BudgetError
 
@@ -162,7 +203,7 @@ class TestInPlaceScheme:
         addresses_before = [
             b.compressed_addr for b in manager.image.blocks
         ]
-        fresh = type(manager.image)(manager.cfg, manager.codec)
+        fresh = type(manager.image)(manager.cfg, manager.residency.codec)
         assert addresses_before == [
             b.compressed_addr for b in fresh.blocks
         ]

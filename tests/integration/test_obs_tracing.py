@@ -111,7 +111,7 @@ def _assert_events_match_counters(manager, result):
         == result.counters.faults
     )
     assert tracer.counts["cancels"] == (
-        manager.decompress_worker.jobs_cancelled
+        manager.timing.decompress_worker.jobs_cancelled
     )
     assert tracer.counts["fills"] == result.counters.decompressions
     assert tracer.counts["releases"] == result.counters.recompressions

@@ -169,7 +169,7 @@ class TestMemoryAccounting:
             manager.unit_of(block) for block in set(result.block_trace)
         }
         expected = manager.image.compressed_image_size + sum(
-            manager.unit_uncompressed_size(unit) for unit in touched
+            manager.residency.unit_uncompressed_size(unit) for unit in touched
         )
         assert result.footprint.samples[-1][1] == expected
 

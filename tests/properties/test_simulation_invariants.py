@@ -93,7 +93,7 @@ class TestSystemInvariants:
                              **_FAST),
         )
         manager.run()
-        assert manager.remember.validate() == []
+        assert manager.residency.remember.validate() == []
 
     @given(gen=_GENERATOR_CONFIGS)
     @settings(max_examples=10, deadline=None)

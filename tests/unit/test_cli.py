@@ -481,12 +481,25 @@ class TestStoreCLI:
         assert main(["store", "stats", "--store", str(store)]) == 0
         assert "cells:     0" in capsys.readouterr().out
 
-    def test_store_smoke(self, capsys, tmp_path):
-        assert main(["store", "smoke", "--store",
-                     str(tmp_path / "smoke")]) == 0
-        out = capsys.readouterr().out
-        assert "store smoke OK" in out
-        assert "byte-identical: yes" in out
+    def test_store_smoke(self, tmp_path):
+        """The ``make store-smoke`` harness, run as CI runs it."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        tests_dir = os.path.dirname(os.path.dirname(__file__))
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        done = subprocess.run(
+            [sys.executable, os.path.join(tests_dir, "smoke", "store.py"),
+             "--store", str(tmp_path / "smoke")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "store smoke OK" in done.stdout
+        assert "byte-identical: yes" in done.stdout
 
 
 class TestRetryFlags:
